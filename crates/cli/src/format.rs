@@ -292,4 +292,101 @@ mod tests {
             assert_eq!(detector_from_str(&d.to_string()), Some(d));
         }
     }
+
+    /// Every truncation and every single-bit flip of `doc` that is still
+    /// UTF-8 goes to `parse`; returns how many were skipped because they
+    /// are not (cut inside a character, or flipped into a bad byte).
+    fn each_mutation(doc: &str, mut parse: impl FnMut(&str)) -> usize {
+        let bytes = doc.as_bytes();
+        let mut skipped = 0;
+        let mut feed = |m: &[u8]| match std::str::from_utf8(m) {
+            Ok(text) => parse(text),
+            Err(_) => skipped += 1,
+        };
+        for cut in 0..=bytes.len() {
+            feed(&bytes[..cut]);
+        }
+        for byte in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut m = bytes.to_vec();
+                m[byte] ^= 1 << bit;
+                feed(&m);
+            }
+        }
+        skipped
+    }
+
+    /// Run `parse` over every mutation of `doc`: an error names a line of
+    /// the input, both outcomes occur, and the skipped count is bit 7 of
+    /// each byte plus the cuts and flips inside the one `\u{b1}`.
+    fn total_over_mutations<T>(
+        doc: &str,
+        parse: impl Fn(&str) -> Result<T, ParseError>,
+        mut accepted: impl FnMut(&str, T),
+    ) {
+        let (mut ok, mut err) = (0, 0);
+        let skipped = each_mutation(doc, |text| match parse(text) {
+            Ok(v) => {
+                accepted(text, v);
+                ok += 1;
+            }
+            Err(e) => {
+                assert!(
+                    e.line >= 1 && e.line <= text.lines().count(),
+                    "{e} in {text:?}"
+                );
+                err += 1;
+            }
+        });
+        assert!(ok > 0 && err > 0, "ok {ok}, err {err}");
+        assert!(
+            skipped >= doc.len() - 2 && skipped < doc.len() + 16,
+            "skipped {skipped}"
+        );
+        // Random multi-byte damage, still never a panic.
+        outage_types::rng::cases(300, doc.len() as u64, |rng| {
+            let mut m = doc.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let i = rng.gen_range(0..m.len());
+                m[i] = b"0123456789 ./:#\nabcdef"[rng.gen_range(0..22usize)];
+            }
+            let _ = parse(&String::from_utf8_lossy(&m));
+        });
+    }
+
+    #[test]
+    fn observation_parser_is_total() {
+        let doc =
+            "# <secs> <block> \u{b1}\n8632 192.0.2.0/24\n86399 2001:db8::/48\n\n0 10.0.0.0/8\n";
+        total_over_mutations(doc, parse_observations, |text, obs| {
+            let again = parse_observations(&render_observations(&obs));
+            assert_eq!(again.as_ref(), Ok(&obs), "{text:?}");
+        });
+    }
+
+    #[test]
+    fn event_parser_is_total() {
+        let doc = "# events \u{b1}\n192.0.2.0/24 30010 37200 0.990 passive-bayes\n\
+                   2001:db8::/48 100 200 1.000 trinocular\n";
+        total_over_mutations(doc, parse_events, |text, events| {
+            let again = parse_events(&render_events(&events)).expect("rendered events parse");
+            assert_eq!(again.len(), events.len(), "{text:?}");
+            for (a, b) in again.iter().zip(&events) {
+                assert_eq!(
+                    (a.prefix, a.interval, a.detector),
+                    (b.prefix, b.interval, b.detector)
+                );
+                assert!((a.confidence - b.confidence).abs() <= 5e-4, "{text:?}");
+            }
+        });
+    }
+
+    #[test]
+    fn interval_parser_is_total() {
+        let doc = "# spans \u{b1}\n100 200\n\n150 300\n43200 45180\n";
+        total_over_mutations(doc, parse_intervals, |text, set| {
+            let again = parse_intervals(&render_intervals(&set));
+            assert_eq!(again.as_ref(), Ok(&set), "{text:?}");
+        });
+    }
 }

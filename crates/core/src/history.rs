@@ -113,6 +113,13 @@ pub const CONSERVATIVE_TROUGH: f64 = 0.2;
 /// all hourly counters live in one flat `hours × blocks` arena — the
 /// per-observation path is one cheap hash probe plus an array increment,
 /// with no per-block allocation.
+///
+/// Counts are `u32` (half the arena a `u64` would take) and every
+/// addition saturates at `u32::MAX`: an hour of one block would need
+/// over a million arrivals a second to get there, and saturating
+/// addition of non-negative counts gives the same clamped sum however
+/// the additions are grouped, so sequential learning, sharded learning
+/// and model merges agree even at the clamp.
 #[derive(Debug)]
 pub struct HistoryBuilder {
     window: Interval,
@@ -120,7 +127,7 @@ pub struct HistoryBuilder {
     index: BlockIndex,
     /// Flat arena: block `id`'s hourly counts occupy
     /// `counts[id*hours .. (id+1)*hours]`.
-    counts: Vec<u64>,
+    counts: Vec<u32>,
 }
 
 impl HistoryBuilder {
@@ -150,7 +157,8 @@ impl HistoryBuilder {
         if row == self.counts.len() {
             self.counts.resize(self.counts.len() + self.hours, 0);
         }
-        self.counts[row + hour] += 1;
+        let c = &mut self.counts[row + hour];
+        *c = c.saturating_add(1);
         Some(id)
     }
 
@@ -168,8 +176,9 @@ impl HistoryBuilder {
 
     /// Fold another builder's counts into this one. Both builders must
     /// cover the same window. Merging shard builders in shard order
-    /// reproduces the sequential result exactly: u64 addition commutes,
-    /// and ids assigned by in-order merge equal the ids a single
+    /// reproduces the sequential result exactly: saturating addition of
+    /// counts commutes and associates, and ids assigned by in-order
+    /// merge equal the ids a single
     /// sequential pass would have assigned (every block whose first
     /// appearance is in an earlier shard interns before any block first
     /// appearing in a later one).
@@ -185,9 +194,7 @@ impl HistoryBuilder {
             }
             let dst = &mut self.counts[id * self.hours..(id + 1) * self.hours];
             let src = &other.counts[oid * self.hours..(oid + 1) * self.hours];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
+            add_saturating(dst, src);
         }
     }
 
@@ -379,8 +386,16 @@ impl HistorySource for IndexedHistories {
     }
 }
 
-pub(crate) fn build_history(prefix: Prefix, hourly: &[u64], window: Interval) -> BlockHistory {
-    let total: u64 = hourly.iter().sum();
+/// `dst[i] += src[i]`, saturating at `u32::MAX`: the one addition every
+/// count arena (learning, shard merge, model merge and fusion) uses.
+pub(crate) fn add_saturating(dst: &mut [u32], src: &[u32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = d.saturating_add(s);
+    }
+}
+
+pub(crate) fn build_history(prefix: Prefix, hourly: &[u32], window: Interval) -> BlockHistory {
+    let total: u64 = hourly.iter().map(|&c| u64::from(c)).sum();
     let lambda = trimmed_mean_rate(hourly, window);
     let (hourly_shape, shape_estimated) = hourly_shape(hourly, total, window);
     BlockHistory {
@@ -398,7 +413,7 @@ const TRIM_STACK_HOURS: usize = 7 * 24;
 
 /// Robust up-rate: mean of hourly counts after dropping the quietest
 /// `TRIM_FRACTION` of *full* hours, divided by 3600.
-fn trimmed_mean_rate(hourly: &[u64], window: Interval) -> f64 {
+fn trimmed_mean_rate(hourly: &[u32], window: Interval) -> f64 {
     let Some((&last, leading)) = hourly.split_last() else {
         return 0.0;
     };
@@ -411,7 +426,7 @@ fn trimmed_mean_rate(hourly: &[u64], window: Interval) -> f64 {
     let last = if last_len > 0 && last_len < 3_600 {
         (last as f64 * 3_600.0 / last_len as f64).round() as u64
     } else {
-        last
+        u64::from(last)
     };
     // Only the multiset of the `n - drop` busiest hours matters: its
     // integer sum is order-free. When at least `drop` hours are silent
@@ -420,7 +435,7 @@ fn trimmed_mean_rate(hourly: &[u64], window: Interval) -> f64 {
     // first kept rank finds them without a full sort.
     let zeros = leading.iter().filter(|&&c| c == 0).count() + usize::from(last == 0);
     let sum: u64 = if zeros >= drop {
-        leading.iter().sum::<u64>() + last
+        leading.iter().map(|&c| u64::from(c)).sum::<u64>() + last
     } else {
         let mut stack = [0u64; TRIM_STACK_HOURS];
         let mut heap = Vec::new();
@@ -430,7 +445,9 @@ fn trimmed_mean_rate(hourly: &[u64], window: Interval) -> f64 {
             heap.resize(n, 0);
             &mut heap
         };
-        rates[..n - 1].copy_from_slice(leading);
+        for (r, &c) in rates.iter_mut().zip(leading) {
+            *r = u64::from(c);
+        }
         rates[n - 1] = last;
         rates.select_nth_unstable(drop);
         rates[drop..].iter().sum()
@@ -452,7 +469,7 @@ const SHAPE_HOURLY_EVENTS: u64 = 240;
 /// dozen events, 24 independent hourly multipliers would be sampling
 /// noise, and a noisy shape corrupts every bin expectation. Blocks with
 /// fewer than [`SHAPE_MIN_EVENTS`] get a flat fallback.
-fn hourly_shape(hourly: &[u64], total: u64, window: Interval) -> ([f64; 24], bool) {
+fn hourly_shape(hourly: &[u32], total: u64, window: Interval) -> ([f64; 24], bool) {
     let shape = [1.0f64; 24];
     if total < SHAPE_MIN_EVENTS || hourly.len() < 24 {
         return (shape, false);
@@ -704,11 +721,11 @@ mod tests {
     /// The derivation as first written: a sorted heap copy for the
     /// trimmed mean, `%` per hour and a `Vec` of means for the shape.
     /// The faster versions must reproduce it bit for bit.
-    fn reference_history(hourly: &[u64], window: Interval) -> (f64, [f64; 24], bool) {
+    fn reference_history(hourly: &[u32], window: Interval) -> (f64, [f64; 24], bool) {
         let lambda = if hourly.is_empty() {
             0.0
         } else {
-            let mut full: Vec<u64> = hourly.to_vec();
+            let mut full: Vec<u64> = hourly.iter().map(|&c| u64::from(c)).collect();
             let last_len = window.duration() - (hourly.len() as u64 - 1) * 3_600;
             if last_len > 0 && last_len < 3_600 {
                 let idx = full.len() - 1;
@@ -720,7 +737,7 @@ mod tests {
             let sum: u64 = kept.iter().sum();
             sum as f64 / (kept.len() as f64 * 3_600.0)
         };
-        let total: u64 = hourly.iter().sum();
+        let total: u64 = hourly.iter().map(|&c| u64::from(c)).sum();
         if total < SHAPE_MIN_EVENTS || hourly.len() < 24 {
             return (lambda, [1.0; 24], false);
         }
@@ -773,14 +790,15 @@ mod tests {
             let window = Interval::from_secs(start, start + len);
             let hours = (len as usize).div_ceil(3_600);
             // Dense, sparse (4-hour smoothing), near-empty and zero rows;
-            // small ranges make ties at the trim boundary common.
-            let scale = [0u64, 1, 3, 8, 40, 1_000, 1 << 40][rng.gen_range(0..7usize)];
-            let row: Vec<u64> = (0..hours)
+            // small ranges make ties at the trim boundary common, and the
+            // top scale reaches the largest count the arena holds.
+            let scale = [0u64, 1, 3, 8, 40, 1_000, u32::MAX as u64][rng.gen_range(0..7usize)];
+            let row: Vec<u32> = (0..hours)
                 .map(|_| {
                     if rng.gen_range(0..5u64) == 0 {
                         0
                     } else {
-                        rng.gen_range(0..=scale)
+                        rng.gen_range(0..=scale) as u32
                     }
                 })
                 .collect();
@@ -789,7 +807,7 @@ mod tests {
             let want = BlockHistory {
                 prefix: b,
                 lambda,
-                total: row.iter().sum(),
+                total: row.iter().map(|&c| u64::from(c)).sum(),
                 hourly_shape: shape,
                 shape_estimated: estimated,
             };

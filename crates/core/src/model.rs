@@ -30,8 +30,16 @@
 //!   deterministic regardless of merge order.
 //! * Anything else (gap, or an overlap whose starts differ by a
 //!   fraction of an hour) is a typed [`ModelError`].
+//!
+//! Counts are `u32` in memory and every sum saturates at `u32::MAX`
+//! (see [`crate::HistoryBuilder`]): saturating addition of non-negative
+//! counts does not depend on grouping, so a clamped hour reads the same
+//! after learning, sharded learning, any merge order and fusion. The
+//! store keeps them `u64` on disk and refuses a count that does not fit.
 
-use crate::history::{build_history, BlockHistory, HistorySource, IndexedHistories};
+use crate::history::{
+    add_saturating, build_history, BlockHistory, HistorySource, IndexedHistories,
+};
 use crate::index::BlockIndex;
 use outage_types::{Interval, Observation, Prefix};
 
@@ -88,7 +96,7 @@ pub struct LearnedModel {
     window: Interval,
     hours: usize,
     /// Flat `blocks × hours` arena, rows in block-id order.
-    counts: Vec<u64>,
+    counts: Vec<u32>,
     indexed: IndexedHistories,
 }
 
@@ -103,7 +111,7 @@ impl LearnedModel {
     pub(crate) fn from_builder_parts(
         window: Interval,
         index: BlockIndex,
-        counts: Vec<u64>,
+        counts: Vec<u32>,
     ) -> LearnedModel {
         LearnedModel::from_parts(window, index, counts)
             .expect("HistoryBuilder arena invariant violated")
@@ -115,7 +123,7 @@ impl LearnedModel {
     pub fn from_parts(
         window: Interval,
         index: BlockIndex,
-        counts: Vec<u64>,
+        counts: Vec<u32>,
     ) -> Result<LearnedModel, ModelError> {
         let hours = window_hours(window);
         if counts.len() != index.len() * hours {
@@ -154,7 +162,7 @@ impl LearnedModel {
     }
 
     /// The flat `blocks × hours` count arena (rows in block-id order).
-    pub fn counts(&self) -> &[u64] {
+    pub fn counts(&self) -> &[u32] {
         &self.counts
     }
 
@@ -257,7 +265,7 @@ struct Parts {
     window: Interval,
     index: BlockIndex,
     /// Flat `blocks × hours` arena, rows in block-id order.
-    counts: Vec<u64>,
+    counts: Vec<u32>,
 }
 
 /// Borrowed [`Parts`].
@@ -265,7 +273,7 @@ struct Parts {
 struct PartsRef<'a> {
     window: Interval,
     index: &'a BlockIndex,
-    counts: &'a [u64],
+    counts: &'a [u32],
 }
 
 impl Parts {
@@ -294,10 +302,7 @@ impl Parts {
                 self.counts.resize(self.counts.len() + hours, 0);
             }
             let dst = &mut self.counts[id * hours..(id + 1) * hours];
-            let src = &b.counts[oid * hours..(oid + 1) * hours];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
+            add_saturating(dst, &b.counts[oid * hours..(oid + 1) * hours]);
         }
     }
 }
@@ -309,7 +314,7 @@ impl PartsRef<'_> {
     }
 
     /// Block `id`'s count row.
-    fn row(&self, id: usize) -> &[u64] {
+    fn row(&self, id: usize) -> &[u32] {
         let hours = self.hours();
         &self.counts[id * hours..(id + 1) * hours]
     }
@@ -393,14 +398,15 @@ fn merge_adjacent(first: PartsRef<'_>, second: PartsRef<'_>) -> Parts {
     for p in second.index.prefixes() {
         index.intern(*p);
     }
-    let mut counts = vec![0u64; index.len() * hours];
+    let mut counts = vec![0u32; index.len() * hours];
 
     // `first` starts where the combined window starts, so its hour
     // `h` *is* combined hour `h` (its last, possibly partial, hour
     // included: every event in it still floors to the same index).
     for id in 0..first.index.len() {
         for (h, &c) in first.row(id).iter().enumerate() {
-            counts[id * hours + h.min(hours - 1)] += c;
+            let d = &mut counts[id * hours + h.min(hours - 1)];
+            *d = d.saturating_add(c);
         }
     }
     // `second`'s hour `h` covers absolute seconds
@@ -409,7 +415,8 @@ fn merge_adjacent(first: PartsRef<'_>, second: PartsRef<'_>) -> Parts {
         let id = index.get(p).expect("interned above") as usize;
         for (h, &c) in second.row(oid).iter().enumerate() {
             let target = ((offset_secs + h as u64 * 3_600) / 3_600) as usize;
-            counts[id * hours + target.min(hours - 1)] += c;
+            let d = &mut counts[id * hours + target.min(hours - 1)];
+            *d = d.saturating_add(c);
         }
     }
     Parts {
@@ -436,14 +443,15 @@ fn merge_overlapping(first: PartsRef<'_>, second: PartsRef<'_>) -> Parts {
     for p in second.index.prefixes() {
         index.intern(*p);
     }
-    let mut counts = vec![0u64; index.len() * hours];
+    let mut counts = vec![0u32; index.len() * hours];
 
     for m in [first, second] {
         let shift = ((m.window.start.secs() - window.start.secs()) / 3_600) as usize;
         for (oid, p) in m.index.prefixes().iter().enumerate() {
             let id = index.get(p).expect("interned above") as usize;
             for (h, &c) in m.row(oid).iter().enumerate() {
-                counts[id * hours + (shift + h).min(hours - 1)] += c;
+                let d = &mut counts[id * hours + (shift + h).min(hours - 1)];
+                *d = d.saturating_add(c);
             }
         }
     }
@@ -618,11 +626,74 @@ mod tests {
         ));
     }
 
+    /// A model over `window` whose rows are given directly.
+    fn from_rows(window: Interval, rows: &[(u32, &[u32])]) -> LearnedModel {
+        let mut index = BlockIndex::new();
+        let mut counts = Vec::new();
+        for &(b, row) in rows {
+            index.intern(p4(b));
+            counts.extend_from_slice(row);
+        }
+        LearnedModel::from_parts(window, index, counts).unwrap()
+    }
+
+    #[test]
+    fn merges_and_fusion_clamp_at_u32_max_in_every_order() {
+        let max = u32::MAX;
+        let w = Interval::from_secs(0, 7_200);
+        let a = from_rows(w, &[(0, &[max - 1, 5]), (1, &[max, 0])]);
+        let b = from_rows(
+            w,
+            &[(1, &[1, max - 2]), (0, &[1, 1]), (2, &[max / 2 + 1, 0])],
+        );
+        let c = from_rows(w, &[(0, &[7, max]), (2, &[max / 2 + 1, max / 2 + 1])]);
+        // The exact sums, clamped: what every order must give.
+        let want = [[max, max], [max, max - 2], [max, max / 2 + 1]].concat();
+        let check = |m: &LearnedModel, what: &str| {
+            let m = m.canonical();
+            assert_eq!(m.counts(), &want[..], "{what}");
+            let total = m.indexed().get(&p4(0)).unwrap().total;
+            assert_eq!(
+                total,
+                2 * u64::from(max),
+                "{what}: totals read the clamped counts"
+            );
+        };
+        let merge = |x: &LearnedModel, y: &LearnedModel| LearnedModel::merge(x, y).unwrap();
+        let fuse = |ms: &[&LearnedModel]| {
+            let owned: Vec<LearnedModel> = ms.iter().map(|&m| m.clone()).collect();
+            crate::federation::fuse_models(&owned).unwrap()
+        };
+        for (x, y, z) in [
+            (&a, &b, &c),
+            (&a, &c, &b),
+            (&b, &a, &c),
+            (&b, &c, &a),
+            (&c, &a, &b),
+            (&c, &b, &a),
+        ] {
+            check(&merge(&merge(x, y), z), "left fold");
+            check(&merge(x, &merge(y, z)), "right fold");
+            check(&fuse(&[x, y, z]), "fusion");
+        }
+
+        // Overlapping hour-aligned windows clamp the shared hour the same
+        // way in either argument order.
+        let d = from_rows(Interval::from_secs(3_600, 10_800), &[(0, &[max - 4, max])]);
+        for m in [merge(&a, &d), merge(&d, &a), fuse(&[&d, &a])] {
+            let m = m.canonical();
+            assert_eq!(&m.counts()[..3], &[max - 1, max, max]);
+        }
+        // Adjacent windows: rows concatenate, nothing to clamp, no wrap.
+        let e = from_rows(Interval::from_secs(7_200, 10_800), &[(0, &[max])]);
+        assert_eq!(&merge(&e, &a).counts()[..3], &[max - 1, 5, max]);
+    }
+
     #[test]
     fn from_parts_rejects_inconsistent_arena() {
         let mut index = BlockIndex::new();
         index.intern(p4(0));
-        let err = LearnedModel::from_parts(day(), index, vec![0u64; 7]).unwrap_err();
+        let err = LearnedModel::from_parts(day(), index, vec![0u32; 7]).unwrap_err();
         assert!(matches!(err, ModelError::InconsistentArena { .. }));
         let msg = err.to_string();
         assert!(msg.contains("arena"), "{msg}");

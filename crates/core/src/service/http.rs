@@ -165,59 +165,65 @@ fn serve_connection(mut stream: TcpStream, view: &dyn ServeView) -> io::Result<(
         }
     }
 
-    let head = String::from_utf8_lossy(&buf);
-    let mut parts = head.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let path = path.split('?').next().unwrap_or(path);
-
-    let (code, reason, ctype, body) = if method != "GET" {
-        (
-            405,
-            "Method Not Allowed",
-            "text/plain",
-            "only GET here\n".to_string(),
-        )
-    } else {
-        match path {
-            "/metrics" => (200, "OK", "text/plain; version=0.0.4", view.metrics()),
-            "/status" => (200, "OK", "application/json", view.status_json()),
-            "/events" => (200, "OK", "application/json", view.events_json()),
-            "/healthz" => {
-                let (healthy, body) = view.healthz();
-                if healthy {
-                    (200, "OK", "application/json", body)
-                } else {
-                    (503, "Service Unavailable", "application/json", body)
-                }
-            }
-            _ => match explain_id(path) {
-                Some(id) => match view.explain_json(&id) {
-                    Some(body) => (200, "OK", "application/json", body),
-                    None => (
-                        404,
-                        "Not Found",
-                        "text/plain",
-                        "no evidence for that event (unknown id, or evidence tier off)\n"
-                            .to_string(),
-                    ),
-                },
-                None => (
-                    404,
-                    "Not Found",
-                    "text/plain",
-                    "unknown route\n".to_string(),
-                ),
-            },
-        }
-    };
-
+    let (code, reason, ctype, body) = respond(&buf, view);
     let response = format!(
         "HTTP/1.1 {code} {reason}\r\nContent-Type: {ctype}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
     );
     stream.write_all(response.as_bytes())?;
     stream.flush()
+}
+
+/// Route a request head — whatever bytes the connection delivered,
+/// however cut short or damaged — to its status code, reason, content
+/// type and body. Pure and total: the method and path are the first two
+/// whitespace-separated words of the head read as (lossy) UTF-8, and
+/// every input maps to 200, 404, 405 or (an unhealthy `/healthz`) 503.
+fn respond(head: &[u8], view: &dyn ServeView) -> (u16, &'static str, &'static str, String) {
+    let head = String::from_utf8_lossy(head);
+    let mut parts = head.split_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("");
+    let path = path.split('?').next().unwrap_or(path);
+
+    if method != "GET" {
+        return (
+            405,
+            "Method Not Allowed",
+            "text/plain",
+            "only GET here\n".to_string(),
+        );
+    }
+    match path {
+        "/metrics" => (200, "OK", "text/plain; version=0.0.4", view.metrics()),
+        "/status" => (200, "OK", "application/json", view.status_json()),
+        "/events" => (200, "OK", "application/json", view.events_json()),
+        "/healthz" => {
+            let (healthy, body) = view.healthz();
+            if healthy {
+                (200, "OK", "application/json", body)
+            } else {
+                (503, "Service Unavailable", "application/json", body)
+            }
+        }
+        _ => match explain_id(path) {
+            Some(id) => match view.explain_json(&id) {
+                Some(body) => (200, "OK", "application/json", body),
+                None => (
+                    404,
+                    "Not Found",
+                    "text/plain",
+                    "no evidence for that event (unknown id, or evidence tier off)\n".to_string(),
+                ),
+            },
+            None => (
+                404,
+                "Not Found",
+                "text/plain",
+                "unknown route\n".to_string(),
+            ),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -258,6 +264,61 @@ mod tests {
             .unwrap_or(0);
         let body = out.split("\r\n\r\n").nth(1).unwrap_or_default().to_string();
         (code, body)
+    }
+
+    /// Every truncation offset and every single-bit flip of a request
+    /// for each route, against a healthy and an unhealthy view: each
+    /// head gets one of the defined responses (503 only from the
+    /// unhealthy view), and never a panic.
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_request_head_is_answered() {
+        let requests = [
+            ("GET /metrics", 200),
+            ("GET /status?pretty=1", 200),
+            ("GET /events", 200),
+            ("GET /healthz", 200),
+            ("GET /events/192.0.2.0%2F24@30010/explain", 200),
+            ("GET /events/192.0.2.0/24%4030010/explain", 200),
+            ("GET /events/10.0.0.0%2F8@99/explain", 404),
+            ("GET /nope", 404),
+            ("POST /metrics", 405),
+        ];
+        let mut seen = std::collections::BTreeMap::new();
+        for healthy in [true, false] {
+            let view = FakeView { healthy };
+            let check = |head: &[u8], seen: &mut std::collections::BTreeMap<u16, usize>| {
+                let code = respond(head, &view).0;
+                assert!(
+                    matches!(code, 200 | 404 | 405) || (code == 503 && !healthy),
+                    "{:?} gave {code}",
+                    String::from_utf8_lossy(head),
+                );
+                *seen.entry(code).or_insert(0) += 1;
+            };
+            for (line, code) in requests {
+                let req = format!("{line} HTTP/1.1\r\nHost: x\r\n\r\n").into_bytes();
+                let want = if line == "GET /healthz" && !healthy {
+                    503
+                } else {
+                    code
+                };
+                assert_eq!(respond(&req, &view).0, want, "{line}");
+                for cut in 0..=req.len() {
+                    check(&req[..cut], &mut seen);
+                }
+                for byte in 0..req.len() {
+                    for bit in 0..8 {
+                        let mut m = req.clone();
+                        m[byte] ^= 1 << bit;
+                        check(&m, &mut seen);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            seen.keys().copied().collect::<Vec<_>>(),
+            [200, 404, 405, 503]
+        );
     }
 
     #[test]

@@ -539,4 +539,68 @@ mod tests {
         assert!(FaultPlan::parse("frobnicate 1").is_err(), "unknown");
         assert!(FaultPlan::parse("blackout 1").is_err(), "arity");
     }
+
+    /// Every truncation and every single-bit flip of `doc` that is still
+    /// UTF-8 goes to `parse`; returns how many were skipped because they
+    /// are not (cut inside a character, or flipped into a bad byte).
+    fn each_mutation(doc: &str, mut parse: impl FnMut(&str)) -> usize {
+        let bytes = doc.as_bytes();
+        let mut skipped = 0;
+        let mut feed = |m: &[u8]| match std::str::from_utf8(m) {
+            Ok(text) => parse(text),
+            Err(_) => skipped += 1,
+        };
+        for cut in 0..=bytes.len() {
+            feed(&bytes[..cut]);
+        }
+        for byte in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut m = bytes.to_vec();
+                m[byte] ^= 1 << bit;
+                feed(&m);
+            }
+        }
+        skipped
+    }
+
+    #[test]
+    fn parse_is_total_over_every_truncation_and_bit_flip() {
+        // Every directive, a comment with a two-byte character, a blank
+        // line and a trailing comment.
+        let doc =
+            "# plan \u{b1}\nseed 7\n\nblackout 120000 121800 # v1\nbrownout 50000 52000 0.2\n\
+                   reorder 60 0.3\nduplicate 0.01\njitter 5 0.5\ncorrupt 0.01\n";
+        let (mut ok, mut err) = (0, 0);
+        let skipped = each_mutation(doc, |text| match FaultPlan::parse(text) {
+            // Whatever parses renders to text that parses to it again.
+            Ok(plan) => {
+                assert_eq!(
+                    FaultPlan::parse(&plan.render()).as_ref(),
+                    Ok(&plan),
+                    "{text:?}"
+                );
+                ok += 1;
+            }
+            Err(e) => {
+                assert!(e.starts_with("line "), "{e}");
+                err += 1;
+            }
+        });
+        assert!(ok > 0 && err > 0, "ok {ok}, err {err}");
+        // Bit 7 of each ASCII byte, and cuts or flips inside the `\u{b1}`.
+        assert!(
+            skipped >= doc.len() - 2 && skipped < doc.len() + 16,
+            "skipped {skipped}"
+        );
+
+        // Random multi-byte damage, still never a panic.
+        outage_types::rng::cases(500, 0xFA_u64, |rng| {
+            let mut m = doc.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..=6usize) {
+                let i = rng.gen_range(0..m.len());
+                m[i] = rng.gen_range(0x20..0x7Fu8);
+            }
+            let _ = FaultPlan::parse(&String::from_utf8_lossy(&m));
+        });
+    }
 }

@@ -56,6 +56,18 @@ pub enum StoreError {
         /// What disagreed.
         context: &'static str,
     },
+    /// A stored hourly count is larger than `u32::MAX`, the largest
+    /// count a model holds in memory. The format stores `u64`, so such
+    /// a file is well formed, but it cannot be loaded without changing
+    /// the count.
+    CountOverflow {
+        /// Block id (row of the count arena) of the first such count.
+        block: usize,
+        /// Hour within the row.
+        hour: usize,
+        /// The count found.
+        count: u64,
+    },
     /// The decoded parts cannot form a [`outage_core::LearnedModel`].
     Model(ModelError),
     /// The checkpoint was learned under a different detector
@@ -95,6 +107,11 @@ impl std::fmt::Display for StoreError {
             StoreError::Inconsistent { context } => {
                 write!(f, "inconsistent checkpoint: {context}")
             }
+            StoreError::CountOverflow { block, hour, count } => write!(
+                f,
+                "hourly count {count} (block {block}, hour {hour}) exceeds the in-memory limit {}",
+                u32::MAX
+            ),
             StoreError::Model(e) => write!(f, "checkpoint does not form a model: {e}"),
             StoreError::FingerprintMismatch { expected, found } => write!(
                 f,

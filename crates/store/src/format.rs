@@ -22,7 +22,9 @@
 //!   family byte (4 or 6), prefix length `u8`, network address
 //!   (`u32`/`u128`, canonical: host bits zero).
 //! * `CNTS` — `u32` hour-row length, then `blocks × hours` `u64`
-//!   arrival counts (the mergeable primitive).
+//!   arrival counts (the mergeable primitive). A model holds them as
+//!   `u32`: encode widens each, and decode narrows each and refuses a
+//!   count above `u32::MAX` as [`StoreError::CountOverflow`].
 //! * `HIST` — per block: prefix, `lambda` (f64 bits), total `u64`,
 //!   24 × hourly-shape multipliers (f64 bits), shape-estimated flag.
 //!
@@ -34,9 +36,11 @@
 //! Both directions run at memory speed: sections are written straight
 //! into the output buffer and framed afterwards, fixed-width data is
 //! converted in bulk after one bounds check per section (or per `HIST`
-//! record), a file's count arena is checksummed and converted as it is
-//! read, and `HIST` is checked record by record against the rebuilt
-//! histories' own encoding instead of being decoded into a second copy.
+//! record), and a file's `CNTS` and `HIST` are checksummed and checked
+//! as they are read, never held as bytes: the count arena is narrowed
+//! into the model, the histories are rebuilt from it, and each `HIST`
+//! record is compared with its rebuilt history's own encoding instead
+//! of being decoded into a second copy.
 
 use crate::crc32::{crc32, crc32_update};
 use crate::error::StoreError;
@@ -127,6 +131,9 @@ pub(crate) fn put_section(out: &mut Vec<u8>, tag: &[u8; 4], payload: impl FnOnce
     out[frame + 8..frame + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
+/// Counts widened to `u64` per copy into the output buffer.
+const WIDEN_BATCH: usize = 512;
+
 /// Buffer capacity for `model`'s checkpoint: an upper bound that costs
 /// every block as IPv6, so the output never reallocates.
 pub(crate) fn size_hint(model: &LearnedModel) -> usize {
@@ -156,10 +163,14 @@ pub(crate) fn encode_model_into(out: &mut Vec<u8>, fingerprint: u64, model: &Lea
     });
     put_section(out, b"CNTS", |out| {
         out.extend_from_slice(&(model.hours() as u32).to_le_bytes());
-        let at = out.len();
-        out.resize(at + model.counts().len() * 8, 0);
-        for (dst, c) in out[at..].chunks_exact_mut(8).zip(model.counts()) {
-            dst.copy_from_slice(&c.to_le_bytes());
+        // Widened through a small stack buffer, so each output byte is
+        // written once (no zero-fill first).
+        let mut buf = [0u8; 8 * WIDEN_BATCH];
+        for batch in model.counts().chunks(WIDEN_BATCH) {
+            for (dst, &c) in buf.chunks_exact_mut(8).zip(batch) {
+                dst.copy_from_slice(&u64::from(c).to_le_bytes());
+            }
+            out.extend_from_slice(&buf[..batch.len() * 8]);
         }
     });
     put_section(out, b"HIST", |out| {
@@ -377,8 +388,18 @@ impl<'a, R: Read> Source<'a> for Stream<R> {
 
     fn bytes(&mut self, n: usize, context: &'static str) -> Result<Cow<'a, [u8]>, StoreError> {
         self.expect(n, context)?;
-        let mut buf = vec![0u8; n];
-        self.fill(&mut buf, context)?;
+        // Read into unzeroed capacity: the bytes are written once.
+        let mut buf = Vec::with_capacity(n);
+        (&mut self.reader).take(n as u64).read_to_end(&mut buf)?;
+        if buf.len() < n {
+            // The file shrank after its size was taken.
+            return Err(StoreError::Truncated {
+                context,
+                need: n,
+                have: 0,
+            });
+        }
+        self.left -= n;
         Ok(Cow::Owned(buf))
     }
 
@@ -491,24 +512,31 @@ fn decode_index(indx: &[u8]) -> Result<BlockIndex, StoreError> {
 }
 
 /// `CNTS`: the hour-row length and the `blocks × hours` count arena.
-/// The payload is checksummed and converted in one pass as it streams
-/// in; the conversion is only kept once the CRC and the arena's length
-/// check out, so errors come in the same order as for a whole section.
+/// The payload is checksummed and narrowed to `u32` in one pass as it
+/// streams in; the conversion is only kept once the CRC and the arena's
+/// length check out, so errors come in the same order as for a whole
+/// section, and a count too large for `u32` is reported after both.
 fn get_counts<'a>(
     src: &mut impl Source<'a>,
     blocks: usize,
-) -> Result<(usize, Vec<u64>), StoreError> {
+) -> Result<(usize, Vec<u32>), StoreError> {
     let (len, expected) = get_frame(src, b"CNTS")?;
     let row = src.bytes(len.min(4), "section payload")?;
     let mut crc = crc32_update(!0, &row);
     let mut counts = Vec::with_capacity((len - row.len()) / 8);
+    // Arena position and value of the first count above `u32::MAX`.
+    let mut overflow = None;
     src.pieces(len - row.len(), "section payload", |piece| {
         crc = crc32_update(crc, piece);
-        counts.extend(piece.chunks_exact(8).map(|b| {
+        for b in piece.chunks_exact(8) {
             let mut a = [0u8; 8];
             a.copy_from_slice(b);
-            u64::from_le_bytes(a)
-        }));
+            let c = u64::from_le_bytes(a);
+            if c > u64::from(u32::MAX) && overflow.is_none() {
+                overflow = Some((counts.len(), c));
+            }
+            counts.push(c as u32);
+        }
     })?;
     check_crc("CNTS", expected, !crc)?;
 
@@ -526,48 +554,145 @@ fn get_counts<'a>(
             context: "count arena length is not blocks x hours",
         });
     }
+    if let Some((at, count)) = overflow {
+        return Err(StoreError::CountOverflow {
+            block: at / hours,
+            hour: at % hours,
+            count,
+        });
+    }
     Ok((hours, counts))
 }
 
-/// `HIST`, structurally: `blocks` records, each a canonical prefix, a
-/// fixed-width body (one bounds check) and a 0/1 shape flag, with
-/// nothing after the last. Returns nothing — the record values are
-/// checked against the rebuilt histories by [`verify_histories`], so no
-/// second copy of the histories is ever built.
-fn check_history_records(hist: &[u8], blocks: usize) -> Result<(), StoreError> {
-    let mut hc = Cursor::new(hist);
-    for _ in 0..blocks {
-        get_prefix(&mut hc)?;
-        let body = hc.take(HIST_BODY_LEN, "history record")?;
-        if body[HIST_BODY_LEN - 1] > 1 {
-            return Err(StoreError::Malformed {
-                context: "shape-estimated flag is neither 0 nor 1",
-            });
-        }
-    }
-    if hc.remaining() != 0 {
+/// One `HIST` record, structurally: a canonical prefix, a fixed-width
+/// body (one bounds check) and a 0/1 shape flag.
+fn check_record(c: &mut Cursor<'_>) -> Result<(), StoreError> {
+    get_prefix(c)?;
+    let body = c.take(HIST_BODY_LEN, "history record")?;
+    if body[HIST_BODY_LEN - 1] > 1 {
         return Err(StoreError::Malformed {
-            context: "trailing bytes after history entries",
+            context: "shape-estimated flag is neither 0 nor 1",
         });
     }
     Ok(())
 }
 
-/// Demand that the stored `HIST` records equal `rebuilt`, bit for bit,
-/// record by record.
-fn verify_histories(hist: &[u8], rebuilt: &[BlockHistory]) -> Result<(), StoreError> {
-    let mut buf = [0u8; HIST_RECORD_MAX];
-    let mut at = 0;
-    for h in rebuilt {
-        let record = history_record(h, &mut buf);
-        if hist.get(at..at + record.len()) != Some(record) {
-            return Err(StoreError::Inconsistent {
-                context: "stored histories differ from histories rebuilt from the count arena",
-            });
+/// `HIST`, checked as it streams in: `blocks` well-formed records with
+/// nothing after the last, each compared byte for byte with the
+/// encoding of the matching rebuilt history (when there are rebuilt
+/// histories to compare). Records may straddle the pieces a file is
+/// read in; no copy of the section is ever held whole.
+struct HistoryCheck<'h> {
+    rebuilt: Option<&'h [BlockHistory]>,
+    blocks: usize,
+    /// Records parsed so far.
+    done: usize,
+    /// Payload bytes not yet fed.
+    unfed: usize,
+    /// The unparsed end of what was fed: part of one record at most.
+    carry: Vec<u8>,
+    /// Whether every record so far equals its rebuilt history; the
+    /// first structural error ends the check.
+    outcome: Result<bool, StoreError>,
+}
+
+impl<'h> HistoryCheck<'h> {
+    fn new(len: usize, blocks: usize, rebuilt: Option<&'h [BlockHistory]>) -> HistoryCheck<'h> {
+        HistoryCheck {
+            rebuilt,
+            blocks,
+            done: 0,
+            unfed: len,
+            carry: Vec::new(),
+            outcome: Ok(true),
         }
-        at += record.len();
     }
-    Ok(())
+
+    fn feed(&mut self, piece: &[u8]) {
+        self.unfed -= piece.len();
+        if self.outcome.is_err() {
+            return;
+        }
+        if self.carry.is_empty() {
+            let used = self.parse(piece);
+            self.carry.extend_from_slice(&piece[used..]);
+        } else {
+            let mut carry = std::mem::take(&mut self.carry);
+            carry.extend_from_slice(piece);
+            let used = self.parse(&carry);
+            carry.drain(..used);
+            self.carry = carry;
+        }
+    }
+
+    /// Check the records at the front of `bytes`; returns the bytes
+    /// consumed. Before the last piece, a record is only parsed once
+    /// [`HIST_RECORD_MAX`] bytes are at hand, so a record cut by a piece
+    /// boundary waits for the rest; in the last piece the cursor sees
+    /// exactly what is left of the section, so a short record fails
+    /// with the same `Truncated` as when the section is read whole.
+    fn parse(&mut self, bytes: &[u8]) -> usize {
+        let at_end = self.unfed == 0;
+        let mut buf = [0u8; HIST_RECORD_MAX];
+        let mut pos = 0;
+        while self.done < self.blocks {
+            let rest = &bytes[pos..];
+            if !at_end && rest.len() < HIST_RECORD_MAX {
+                return pos;
+            }
+            let mut c = Cursor::new(rest);
+            if let Err(e) = check_record(&mut c) {
+                self.outcome = Err(e);
+                return bytes.len();
+            }
+            let record = &rest[..rest.len() - c.remaining()];
+            if let (Some(rebuilt), Ok(true)) = (self.rebuilt, &self.outcome) {
+                if history_record(&rebuilt[self.done], &mut buf) != record {
+                    self.outcome = Ok(false);
+                }
+            }
+            pos += record.len();
+            self.done += 1;
+        }
+        if pos < bytes.len() || !at_end {
+            self.outcome = Err(StoreError::Malformed {
+                context: "trailing bytes after history entries",
+            });
+            return bytes.len();
+        }
+        pos
+    }
+
+    /// Whether every stored record equals its rebuilt history, or the
+    /// first structural error. An empty section was never fed, so its
+    /// records are checked (and found missing) here.
+    fn finish(mut self) -> Result<bool, StoreError> {
+        if self.outcome.is_ok() && self.done < self.blocks {
+            let carry = std::mem::take(&mut self.carry);
+            self.parse(&carry);
+        }
+        self.outcome
+    }
+}
+
+/// `HIST`: frame, CRC, record structure and agreement with `rebuilt`,
+/// in one pass as the payload arrives. Errors come in the same order
+/// as for a section read whole: the CRC before any record's structure.
+/// Returns whether every record agreed with `rebuilt`.
+fn check_histories<'a>(
+    src: &mut impl Source<'a>,
+    blocks: usize,
+    rebuilt: Option<&[BlockHistory]>,
+) -> Result<bool, StoreError> {
+    let (len, expected) = get_frame(src, b"HIST")?;
+    let mut check = HistoryCheck::new(len, blocks, rebuilt);
+    let mut crc = !0;
+    src.pieces(len, "section payload", |piece| {
+        crc = crc32_update(crc, piece);
+        check.feed(piece);
+    })?;
+    check_crc("HIST", expected, !crc)?;
+    check.finish()
 }
 
 /// Deserialize and fully validate a checkpoint. Total: every hostile
@@ -618,22 +743,33 @@ pub(crate) fn decode_from<'a>(src: &mut impl Source<'a>) -> Result<Checkpoint, S
 
     let index = decode_index(&get_section(src, b"INDX", "INDX")?)?;
     let (hours, counts) = get_counts(src, index.len())?;
-    let hist = get_section(src, b"HIST", "HIST")?;
-    check_history_records(&hist, index.len())?;
+    // Rebuild from the arena before HIST arrives, so its records are
+    // compared as they stream in; the rebuild's own errors are held
+    // back until HIST and the file's end have been checked, the order
+    // they would come in if HIST were read first.
+    let blocks = index.len();
+    let model = LearnedModel::from_parts(window, index, counts);
+    let rebuilt = match &model {
+        Ok(m) if m.hours() == hours => Some(m.indexed().histories()),
+        _ => None,
+    };
+    let consistent = check_histories(src, blocks, rebuilt)?;
     if src.left() != 0 {
         return Err(StoreError::Malformed {
             context: "trailing bytes after final section",
         });
     }
-
-    // Rebuild from the arena and demand bitwise agreement with HIST.
-    let model = LearnedModel::from_parts(window, index, counts)?;
+    let model = model?;
     if model.hours() != hours {
         return Err(StoreError::Inconsistent {
             context: "stored hour-row length disagrees with the window",
         });
     }
-    verify_histories(&hist, model.indexed().histories())?;
+    if !consistent {
+        return Err(StoreError::Inconsistent {
+            context: "stored histories differ from histories rebuilt from the count arena",
+        });
+    }
 
     Ok(Checkpoint { fingerprint, model })
 }

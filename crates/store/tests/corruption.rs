@@ -7,7 +7,7 @@
 
 mod common;
 
-use outage_core::{DetectorConfig, LearnedModel};
+use outage_core::{BlockIndex, DetectorConfig, LearnedModel};
 use outage_store::{
     decode_checkpoint, decode_serve_checkpoint, encode_checkpoint, encode_serve_checkpoint,
     read_checkpoint, Checkpoint, StoreError,
@@ -109,16 +109,31 @@ fn damage_behind_a_valid_crc_fails_the_rebuild_comparison() {
         let crc = outage_store::crc32(&m[range.clone()]);
         m[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
     };
-    // Counts (past the hour-row length): every flip moves a history.
+    // Counts (past the hour-row length): a flip in a count's low half
+    // moves a history; one in its high half leaves a count no `u32`
+    // holds, refused as exactly that count before any rebuild.
+    let hours = u32::from_le_bytes(bytes[cnts.start..cnts.start + 4].try_into().unwrap()) as usize;
     for byte in cnts.start + 4..cnts.end {
+        let slot = (byte - cnts.start - 4) / 8;
+        let at = cnts.start + 4 + slot * 8;
         for bit in 0..8 {
             let mut m = bytes.clone();
             m[byte] ^= 1 << bit;
             restamp(&mut m, &cnts, cnts_crc);
-            assert!(
-                matches!(decode_checkpoint(&m), Err(StoreError::Inconsistent { .. })),
-                "count flip at {byte}:{bit} passed the rebuild comparison"
-            );
+            let got = decode_checkpoint(&m);
+            if byte - at < 4 {
+                assert!(
+                    matches!(got, Err(StoreError::Inconsistent { .. })),
+                    "count flip at {byte}:{bit} passed the rebuild comparison: {got:?}"
+                );
+            } else {
+                let count = u64::from_le_bytes(m[at..at + 8].try_into().unwrap());
+                assert!(
+                    matches!(got, Err(StoreError::CountOverflow { block, hour, count: c })
+                        if block == slot / hours && hour == slot % hours && c == count),
+                    "high-half count flip at {byte}:{bit} gave {got:?}"
+                );
+            }
         }
     }
     // History records: value bits are Inconsistent; prefix and flag bits
@@ -202,10 +217,97 @@ fn reading_a_file_fails_exactly_like_decoding_its_bytes() {
     let _ = std::fs::remove_file(&path);
 }
 
+// A model holds its hourly counts as `u32`; a checkpoint stores them as
+// `u64`. `u32::MAX` survives a save and a load bit for bit, and a stored
+// count one above it is refused with a typed error by both the in-memory
+// and the streaming decoder, never narrowed and never a panic.
+
+/// A checkpoint of `model` (fingerprint 11).
+fn encode(model: LearnedModel) -> Vec<u8> {
+    encode_checkpoint(&Checkpoint {
+        fingerprint: 11,
+        model,
+    })
+}
+
 #[test]
-fn a_count_arena_larger_than_one_read_streams_intact() {
-    // 1500 blocks x 48 hours: a count arena over half a megabyte, read
-    // from the file in several pieces.
+fn a_count_above_u32_max_is_refused_by_both_decoders() {
+    let mut bytes = encode(common::sample_model());
+    let (cnts, crc_at) = section_payloads(&bytes)[1].clone();
+    let hours = u32::from_le_bytes(bytes[cnts.start..cnts.start + 4].try_into().unwrap()) as usize;
+    // Block 1, hour 5; a second, larger one later must not be the one
+    // reported.
+    let too_big = u64::from(u32::MAX) + 1;
+    let slot = |block: usize, hour: usize| cnts.start + 4 + 8 * (block * hours + hour);
+    let first = slot(1, 5);
+    bytes[first..first + 8].copy_from_slice(&too_big.to_le_bytes());
+    let later = slot(2, 0);
+    bytes[later..later + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    // Re-stamp the CRC so the decoder gets as far as the count itself.
+    let crc = outage_store::crc32(&bytes[cnts.clone()]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+
+    let expect = |got: Result<Checkpoint, StoreError>, what: &str| match got {
+        Err(StoreError::CountOverflow { block, hour, count }) => {
+            assert_eq!((block, hour, count), (1, 5, too_big), "{what}");
+        }
+        other => panic!("{what}: expected CountOverflow, got {other:?}"),
+    };
+    expect(decode_checkpoint(&bytes), "decode_checkpoint");
+    let path = scratch_file("count-overflow");
+    std::fs::write(&path, &bytes).unwrap();
+    expect(read_checkpoint(&path).map(|(c, _)| c), "read_checkpoint");
+    let _ = std::fs::remove_file(&path);
+
+    let msg = decode_checkpoint(&bytes).unwrap_err().to_string();
+    assert!(
+        msg.contains("4294967296") && msg.contains("block 1, hour 5"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn u32_max_round_trips_bit_exact() {
+    let window = Interval::from_secs(0, 3 * 3_600);
+    let mut index = BlockIndex::new();
+    index.intern("192.0.2.0/24".parse::<Prefix>().unwrap());
+    index.intern(Prefix::v6_raw(0x2001_0db8u128 << 96, 48));
+    let counts = vec![u32::MAX, 0, u32::MAX - 1, 1, u32::MAX, u32::MAX];
+    let model = LearnedModel::from_parts(window, index, counts.clone()).unwrap();
+    let bytes = encode(model.clone());
+
+    // On disk each count is the same value widened to u64.
+    let (cnts, _) = section_payloads(&bytes)[1].clone();
+    let stored: Vec<u64> = bytes[cnts.start + 4..cnts.end]
+        .chunks_exact(8)
+        .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+        .collect();
+    assert_eq!(
+        stored,
+        counts.iter().map(|&c| u64::from(c)).collect::<Vec<_>>()
+    );
+
+    let path = scratch_file("u32-max");
+    std::fs::write(&path, &bytes).unwrap();
+    let (from_file, _) = read_checkpoint(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    for back in [decode_checkpoint(&bytes).unwrap(), from_file] {
+        assert_eq!(back.model.counts(), &counts[..]);
+        assert_eq!(
+            back.model.indexed().histories(),
+            model.indexed().histories()
+        );
+        assert_eq!(
+            back.model.indexed().by_id(0).total,
+            2 * u64::from(u32::MAX) - 1
+        );
+        assert_eq!(encode(back.model), bytes, "re-encoding moves no byte");
+    }
+}
+
+/// 1500 IPv4 blocks x 48 hours: a count arena over half a megabyte and
+/// a `HIST` section over 256 KiB, so a file is read in several pieces.
+fn large_checkpoint() -> Vec<u8> {
     let window = Interval::from_secs(0, 2 * 86_400);
     let obs: Vec<Observation> = (0..1_500u32)
         .flat_map(|b| {
@@ -215,10 +317,15 @@ fn a_count_arena_larger_than_one_read_streams_intact() {
         .collect();
     let model = LearnedModel::learn(obs, window);
     assert!(model.counts().len() * 8 > 1 << 19);
-    let bytes = encode_checkpoint(&Checkpoint {
+    encode_checkpoint(&Checkpoint {
         fingerprint: 9,
         model,
-    });
+    })
+}
+
+#[test]
+fn a_count_arena_larger_than_one_read_streams_intact() {
+    let bytes = large_checkpoint();
     let path = scratch_file("large-arena");
     let whole = outcome(decode_checkpoint(&bytes));
     assert!(whole.starts_with("ok"));
@@ -235,6 +342,64 @@ fn a_count_arena_larger_than_one_read_streams_intact() {
         outcome(read_as_file(cut, &path)),
         outcome(decode_checkpoint(cut))
     );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn a_history_record_split_across_reads_is_checked_like_a_whole_one() {
+    // A file's `HIST` arrives in 256 KiB reads, and the record holding
+    // payload byte 262144 is split between two of them. Cut the section
+    // inside that record (frame length and CRC re-stamped, so the record
+    // structure is what fails), or damage each of its fields: the file
+    // must end exactly as the same bytes decoded whole.
+    const READ: usize = 1 << 18;
+    const RECORD: usize = 6 + 8 + 8 + 24 * 8 + 1;
+    // 1300 IPv4 blocks over one hour: the HIST section passes 256 KiB
+    // while the count arena stays small.
+    let obs = (0..1_300u32).map(|b| {
+        Observation::new(
+            UnixTime(u64::from(b)),
+            Prefix::v4_raw(0x0A00_0000 + (b << 8), 24),
+        )
+    });
+    let bytes = encode_checkpoint(&Checkpoint {
+        fingerprint: 9,
+        model: LearnedModel::learn(obs, Interval::from_secs(0, 3_600)),
+    });
+    let (hist, crc_at) = section_payloads(&bytes)[2].clone();
+    assert!(hist.len() > READ + RECORD);
+    let split = READ / RECORD * RECORD;
+    let path = scratch_file("split-record");
+    let same = |m: &[u8], what: &str| {
+        let whole = outcome(decode_checkpoint(m));
+        assert_eq!(outcome(read_as_file(m, &path)), whole, "{what}");
+        whole
+    };
+    let restamp = |m: &mut Vec<u8>| {
+        let crc = outage_store::crc32(&m[hist.start..]);
+        m[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+    };
+    for len in split..=split + RECORD {
+        let mut m = bytes[..hist.start + len].to_vec();
+        m[hist.start - 12..hist.start - 4].copy_from_slice(&(len as u64).to_le_bytes());
+        restamp(&mut m);
+        let got = same(&m, &format!("section cut to {len}"));
+        assert!(got.contains("truncated checkpoint"), "cut to {len}: {got}");
+    }
+    // Family, length, address, a shape weight, the flag.
+    for (field, off) in [
+        ("family", 0),
+        ("length", 1),
+        ("address", 5),
+        ("shape", 100),
+        ("flag", RECORD - 1),
+    ] {
+        let mut m = bytes.clone();
+        m[hist.start + split + off] ^= 0x02;
+        restamp(&mut m);
+        let got = same(&m, field);
+        assert!(got.starts_with("err"), "{field}: {got}");
+    }
     let _ = std::fs::remove_file(&path);
 }
 
