@@ -91,27 +91,52 @@ fn http_get(base_url: &str, path: &str) -> Result<String, CommandError> {
         "GET {path} HTTP/1.1\r\nHost: {hostport}\r\nConnection: close\r\n\r\n"
     )
     .map_err(|e| CommandError(format!("sending request: {e}")))?;
-    let mut response = String::new();
+    let mut reply = Vec::new();
     stream
-        .read_to_string(&mut response)
+        .read_to_end(&mut reply)
         .map_err(|e| CommandError(format!("reading response: {e}")))?;
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| CommandError(format!("malformed response from {hostport}")))?;
-    let body = response
-        .split("\r\n\r\n")
-        .nth(1)
-        .unwrap_or_default()
-        .to_string();
+    let (status, body) = parse_reply(&reply)
+        .map_err(|e| CommandError(format!("response from {hostport}: {}", e.0)))?;
     if status != 200 {
         return Err(CommandError(format!(
             "{hostport} returned {status}: {}",
             body.trim()
         )));
     }
-    Ok(body)
+    Ok(body.to_string())
+}
+
+/// Split a whole HTTP/1.x reply into its status code and body. The
+/// status line must read `HTTP/1.<minor> <code>` with a code of 100-599;
+/// the body is everything after the first blank line (so a body holding
+/// `\r\n\r\n` comes back whole) and must be UTF-8.
+fn parse_reply(reply: &[u8]) -> Result<(u16, &str), CommandError> {
+    let malformed = |what: &str| Err(CommandError(format!("malformed reply: {what}")));
+    let Some(head_len) = reply.windows(4).position(|w| w == b"\r\n\r\n") else {
+        return malformed("no blank line after the headers");
+    };
+    let Some(rest) = reply[..head_len].strip_prefix(b"HTTP/1.") else {
+        return malformed("status line does not start with HTTP/1.");
+    };
+    let status = match rest {
+        [minor, b' ', code @ ..] if minor.is_ascii_digit() => {
+            let code = code
+                .split(|&b| b == b' ' || b == b'\r')
+                .next()
+                .unwrap_or_default();
+            match code {
+                [a @ b'1'..=b'5', b, c] if b.is_ascii_digit() && c.is_ascii_digit() => {
+                    u16::from(a - b'0') * 100 + u16::from(b - b'0') * 10 + u16::from(c - b'0')
+                }
+                _ => return malformed("status code is not 100-599"),
+            }
+        }
+        _ => return malformed("bad status line"),
+    };
+    match std::str::from_utf8(&reply[head_len + 4..]) {
+        Ok(body) => Ok((status, body)),
+        Err(_) => malformed("body is not UTF-8"),
+    }
 }
 
 fn num(v: &Value, key: &str) -> f64 {
@@ -253,6 +278,92 @@ mod tests {
         let doc = evidence_doc();
         let err = explain(&doc, "10.0.0.0/8@1", false).unwrap_err();
         assert!(err.0.contains("192.0.2.0/24@"), "{}", err.0);
+    }
+
+    fn reply(status: &str, body: &str) -> Vec<u8> {
+        format!(
+            "HTTP/1.1 {status}\r\nContent-Type: application/json\r\n\
+             Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    #[test]
+    fn reply_body_is_everything_after_the_first_blank_line() {
+        let body = "{\"a\":1}\r\n\r\n{\"b\":2}\r\n\r\n";
+        let r = reply("200 OK", body);
+        assert_eq!(parse_reply(&r).unwrap(), (200, body));
+        assert_eq!(parse_reply(b"HTTP/1.0 404\r\n\r\n").unwrap(), (404, ""));
+        let mut latin1 = reply("200 OK", "caf");
+        latin1.push(0xe9);
+        assert!(parse_reply(&latin1).unwrap_err().0.contains("UTF-8"));
+        for bad in [
+            &b"HTTP/2 200 OK\r\n\r\n"[..],
+            b"HTTP/1.1 20 OK\r\n\r\n",
+            b"HTTP/1.1 2000\r\n\r\n",
+            b"HTTP/1.1 000 OK\r\n\r\n",
+        ] {
+            assert!(
+                parse_reply(bad).is_err(),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    /// Every truncation and every single-bit flip of a 200 and a 404
+    /// reply: a typed result and never a panic. A cut inside the head is
+    /// an error; a cut in the body returns the body up to the cut; a flip
+    /// in the body returns the flipped body or, when it leaves ASCII, a
+    /// UTF-8 error.
+    #[test]
+    fn every_truncation_and_bit_flip_of_a_reply_is_total() {
+        let (mut ok, mut err) = (0, 0);
+        for (status, code, body) in [
+            ("200 OK", 200, r#"{"id":"192.0.2.0/24@30010","merged":1}"#),
+            ("404 Not Found", 404, "no evidence for event 10.0.0.0/8@99"),
+        ] {
+            let r = reply(status, body);
+            let head_len = r.len() - body.len();
+            assert_eq!(parse_reply(&r).unwrap(), (code, body));
+            for cut in 0..=r.len() {
+                match parse_reply(&r[..cut]) {
+                    Ok(got) => {
+                        assert!(cut >= head_len, "cut {cut} inside the head parsed");
+                        assert_eq!(got, (code, &body[..cut - head_len]));
+                        ok += 1;
+                    }
+                    Err(_) => {
+                        assert!(cut < head_len, "cut {cut} in the body failed");
+                        err += 1;
+                    }
+                }
+            }
+            for byte in 0..r.len() {
+                for bit in 0..8 {
+                    let mut m = r.clone();
+                    m[byte] ^= 1 << bit;
+                    let got = parse_reply(&m);
+                    if byte >= head_len {
+                        let flipped = std::str::from_utf8(&m[head_len..]);
+                        assert_eq!(
+                            got.as_ref().ok(),
+                            flipped.ok().map(|b| (code, b)).as_ref(),
+                            "byte {byte} bit {bit}"
+                        );
+                    }
+                    match got {
+                        Ok((c, _)) => {
+                            assert!((100..=599).contains(&c), "status {c}");
+                            ok += 1;
+                        }
+                        Err(_) => err += 1,
+                    }
+                }
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} ok, {err} errors");
     }
 
     #[test]

@@ -16,13 +16,23 @@ use outage_obs::parse_prometheus;
 use outage_types::{Interval, IntervalSet};
 use std::path::PathBuf;
 
-/// Write checkpoint `bytes` to a per-test file for `DetectOptions::model`.
-fn model_file(tag: &str, bytes: &[u8]) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("outage-cli-commands-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.poms"));
-    std::fs::write(&path, bytes).unwrap();
-    path
+/// A checkpoint written to a per-test temp file for
+/// `DetectOptions::model`, removed again when the test drops it.
+struct ModelFile(PathBuf);
+
+impl ModelFile {
+    fn new(tag: &str, bytes: &[u8]) -> ModelFile {
+        let name = format!("outage-cli-commands-{}-{tag}.poms", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, bytes).unwrap();
+        ModelFile(path)
+    }
+}
+
+impl Drop for ModelFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 #[test]
@@ -444,11 +454,12 @@ fn learn_then_warm_detect_matches_cold_detect() {
         learned.summary
     );
 
+    let model = ModelFile::new("warm", &learned.model);
     let warm = detect_with(
         &sim.observations,
         &DetectOptions {
             window_secs: Some(86_400),
-            model: Some(model_file("warm", &learned.model)),
+            model: Some(model.0.clone()),
             ..DetectOptions::default()
         },
     )
@@ -483,12 +494,13 @@ fn warm_start_works_in_every_execution_mode() {
     let sim = simulate("quick", 40, 26).unwrap();
     let cold = detect(&sim.observations, Some(86_400)).unwrap();
     let learned = learn(&sim.observations, Some(86_400), Some(1)).unwrap();
+    let model = ModelFile::new("every-mode", &learned.model);
     let warm = |streaming, workers| {
         detect_with(
             &sim.observations,
             &DetectOptions {
                 window_secs: Some(86_400),
-                model: Some(model_file("every-mode", &learned.model)),
+                model: Some(model.0.clone()),
                 streaming,
                 workers,
                 ..DetectOptions::default()
@@ -541,11 +553,12 @@ fn detect_model_out_emits_a_loadable_checkpoint() {
 fn model_and_model_out_are_mutually_exclusive() {
     let sim = simulate("quick", 40, 23).unwrap();
     let learned = learn(&sim.observations, Some(86_400), Some(1)).unwrap();
+    let model = ModelFile::new("exclusive", &learned.model);
     let err = detect_with(
         &sim.observations,
         &DetectOptions {
             window_secs: Some(86_400),
-            model: Some(model_file("exclusive", &learned.model)),
+            model: Some(model.0.clone()),
             model_out: true,
             ..DetectOptions::default()
         },
@@ -558,11 +571,12 @@ fn model_and_model_out_are_mutually_exclusive() {
 fn warm_detect_rejects_mismatched_window_with_a_hint() {
     let sim = simulate("quick", 40, 24).unwrap();
     let learned = learn(&sim.observations, Some(86_400), Some(1)).unwrap();
+    let model = ModelFile::new("window", &learned.model);
     let err = detect_with(
         &sim.observations,
         &DetectOptions {
             window_secs: Some(2 * 86_400),
-            model: Some(model_file("window", &learned.model)),
+            model: Some(model.0.clone()),
             ..DetectOptions::default()
         },
     )
@@ -586,11 +600,12 @@ fn model_inspect_and_corrupt_checkpoints() {
     assert!(model_inspect(&bad).is_err());
     let err = model_verify(&bad).unwrap_err();
     assert!(err.to_string().contains("model checkpoint"), "{err}");
+    let model = ModelFile::new("corrupt", &bad);
     let err = detect_with(
         &sim.observations,
         &DetectOptions {
             window_secs: Some(86_400),
-            model: Some(model_file("corrupt", &bad)),
+            model: Some(model.0.clone()),
             ..DetectOptions::default()
         },
     )
@@ -746,11 +761,12 @@ fn federate_model_out_warm_starts_detect() {
     // The fused global model warm-starts a single-vantage detect and
     // reproduces the cold run: fusion loses nothing.
     let cold = detect(&sim.observations, Some(86_400)).unwrap();
+    let model = ModelFile::new("fused", &bytes);
     let warm = detect_with(
         &sim.observations,
         &DetectOptions {
             window_secs: Some(86_400),
-            model: Some(model_file("fused", &bytes)),
+            model: Some(model.0.clone()),
             ..DetectOptions::default()
         },
     )

@@ -205,7 +205,7 @@ pub fn prefix_bucket(prefix: &Prefix) -> u64 {
         }
         Prefix::V6 { addr, len } => {
             byte(6);
-            for b in addr.to_le_bytes() {
+            for b in addr.get().to_le_bytes() {
                 byte(b);
             }
             byte(*len);
@@ -528,6 +528,29 @@ mod tests {
                 enrolls(EvidenceConfig::Sampled(16), p),
                 enrolls(EvidenceConfig::Sampled(16), p)
             );
+        }
+    }
+
+    /// Buckets computed from the address as one `u128`. Evidence
+    /// sampling and vantage ownership both hash these, so a change to
+    /// how `Prefix` holds the address must not move them.
+    #[test]
+    fn prefix_buckets_are_golden() {
+        for (text, bucket) in [
+            ("0.0.0.0/0", 0x4e9e_da2e_71d6_5859),
+            ("10.0.0.0/8", 0x70a2_da2e_71f3_458b),
+            ("192.0.2.0/24", 0xd05e_da3f_206c_0773),
+            ("255.255.255.255/32", 0x12bc_e43d_cb92_d20d),
+            ("::/0", 0xd7eb_8f6f_e0ed_985b),
+            ("2001:db8::/48", 0xe53a_2691_335a_3d29),
+            ("2001:db8:42:1::/64", 0xf452_daff_0d11_8140),
+            ("2001:db8:8000::/33", 0xef40_6a85_7ba7_9fc6),
+            (
+                "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+                0xcbf8_a81e_c05e_59ab,
+            ),
+        ] {
+            assert_eq!(prefix_bucket(&block(text)), bucket, "{text}");
         }
     }
 

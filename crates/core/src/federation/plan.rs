@@ -229,7 +229,7 @@ fn memo_tag(key: &Prefix) -> Option<u64> {
     match *key {
         Prefix::V4 { addr, len } => Some((1 << 62) | (u64::from(len) << 32) | u64::from(addr)),
         Prefix::V6 { addr, len } if len <= 56 => {
-            Some((2 << 62) | (u64::from(len) << 56) | (addr >> 72) as u64)
+            Some((2 << 62) | (u64::from(len) << 56) | addr.hi >> 8)
         }
         Prefix::V6 { .. } => None,
     }

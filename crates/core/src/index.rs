@@ -34,11 +34,7 @@ fn mix(h: u64, v: u64) -> u64 {
 fn hash_prefix(p: &Prefix) -> u64 {
     match *p {
         Prefix::V4 { addr, len } => mix(mix(1, addr as u64), len as u64),
-        Prefix::V6 { addr, len } => {
-            let lo = addr as u64;
-            let hi = (addr >> 64) as u64;
-            mix(mix(mix(2, lo), hi), len as u64)
-        }
+        Prefix::V6 { addr, len } => mix(mix(mix(2, addr.lo), addr.hi), len as u64),
     }
 }
 

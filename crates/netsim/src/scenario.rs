@@ -486,7 +486,7 @@ mod tests {
         // Deterministic 3-way partition by a block hash.
         let shard_of = |p: &Prefix| match p {
             Prefix::V4 { addr, .. } => (addr >> 8) % 3,
-            Prefix::V6 { addr, .. } => ((addr >> 80) % 3) as u32,
+            Prefix::V6 { addr, .. } => ((addr.get() >> 80) % 3) as u32,
         };
         let shards: Vec<Vec<_>> = (0..3u32)
             .map(|v| s.observations_where(|p| shard_of(p) == v).collect())

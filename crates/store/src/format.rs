@@ -79,7 +79,7 @@ fn write_prefix(out: &mut [u8], p: &Prefix) -> usize {
         }
         Prefix::V6 { addr, len } => {
             out[..2].copy_from_slice(&[6, len]);
-            out[2..18].copy_from_slice(&addr.to_le_bytes());
+            out[2..18].copy_from_slice(&addr.get().to_le_bytes());
             18
         }
     }
@@ -284,7 +284,7 @@ pub(crate) fn get_prefix(c: &mut Cursor<'_>) -> Result<Prefix, StoreError> {
             let addr = c.u128("IPv6 address")?;
             let p = Prefix::v6_raw(addr, len);
             match p {
-                Prefix::V6 { addr: a, .. } if a == addr => Ok(p),
+                Prefix::V6 { addr: a, .. } if a.get() == addr => Ok(p),
                 _ => Err(StoreError::Malformed {
                     context: "IPv6 prefix has host bits set",
                 }),
@@ -855,6 +855,33 @@ mod tests {
             decode_checkpoint(&bytes),
             Err(StoreError::UnsupportedVersion { found: 99 })
         ));
+    }
+
+    /// Prefix encodings (family, length, little-endian address) computed
+    /// from the address as one `u128`; checkpoint bytes depend on them.
+    #[test]
+    fn prefix_bytes_are_golden() {
+        for (text, hex) in [
+            ("0.0.0.0/0", "040000000000"),
+            ("10.0.0.0/8", "04080000000a"),
+            ("192.0.2.0/24", "0418000200c0"),
+            ("255.255.255.255/32", "0420ffffffff"),
+            ("::/0", "060000000000000000000000000000000000"),
+            ("2001:db8::/48", "0630000000000000000000000000b80d0120"),
+            ("2001:db8:42:1::/64", "0640000000000000000001004200b80d0120"),
+            ("2001:db8:8000::/33", "0621000000000000000000000080b80d0120"),
+            (
+                "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128",
+                "0680ffffffffffffffffffffffffffffffff",
+            ),
+        ] {
+            let p: Prefix = text.parse().unwrap();
+            let mut out = Vec::new();
+            put_prefix(&mut out, &p);
+            let got: String = out.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(got, hex, "{text}");
+            assert_eq!(get_prefix(&mut Cursor::new(&out)).unwrap(), p, "{text}");
+        }
     }
 
     #[test]

@@ -172,6 +172,8 @@ pub struct Observation {
     pub block: Prefix,
 }
 
+const _: () = assert!(std::mem::size_of::<Observation>() == 32);
+
 impl Observation {
     /// Construct an observation.
     pub fn new(time: UnixTime, block: Prefix) -> Observation {

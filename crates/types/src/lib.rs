@@ -24,6 +24,6 @@ pub mod trie;
 
 pub use event::{DetectorId, Observation, OutageEvent, Timeline};
 pub use interval::{Interval, IntervalSet};
-pub use prefix::{AddrFamily, HostAddr, ParsePrefixError, Prefix};
+pub use prefix::{AddrFamily, HostAddr, ParsePrefixError, Prefix, V6Bits};
 pub use time::{durations, TimeBin, UnixTime};
 pub use trie::PrefixTrie;

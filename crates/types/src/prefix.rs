@@ -8,6 +8,8 @@
 //! aggregation level.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::net::{Ipv4Addr, Ipv6Addr};
 use std::str::FromStr;
 
@@ -47,6 +49,50 @@ impl fmt::Display for AddrFamily {
     }
 }
 
+/// A 128-bit IPv6 address held as two `u64` halves, so that it is
+/// 8-aligned: a `u128` field would give [`Prefix`] 16-byte alignment and
+/// pad it from 24 to 32 bytes (and an observation from 32 to 48).
+///
+/// The derived order (`hi`, then `lo`) is `u128` order. `Hash` and
+/// `Debug` go through the `u128`, so hashes and `{:?}` output match
+/// those of the plain `u128` address.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct V6Bits {
+    /// The most significant 64 bits.
+    pub hi: u64,
+    /// The least significant 64 bits.
+    pub lo: u64,
+}
+
+impl V6Bits {
+    /// Split a `u128` address into its halves.
+    #[inline]
+    pub const fn new(addr: u128) -> V6Bits {
+        V6Bits {
+            hi: (addr >> 64) as u64,
+            lo: addr as u64,
+        }
+    }
+
+    /// The address as one `u128`.
+    #[inline]
+    pub const fn get(self) -> u128 {
+        (self.hi as u128) << 64 | self.lo as u128
+    }
+}
+
+impl Hash for V6Bits {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.get().hash(state);
+    }
+}
+
+impl fmt::Debug for V6Bits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.get(), f)
+    }
+}
+
 /// A canonical CIDR prefix (host bits are always zero).
 ///
 /// Ordering sorts IPv4 before IPv6, then by address, then by length —
@@ -62,12 +108,16 @@ pub enum Prefix {
     },
     /// An IPv6 prefix: network bits of `addr`, masked to `len` bits.
     V6 {
-        /// Network address as a big-endian u128, host bits zero.
-        addr: u128,
+        /// Network address (big-endian bit order), host bits zero.
+        addr: V6Bits,
         /// Prefix length, 0..=128.
         len: u8,
     },
 }
+
+// An 8-aligned address keeps a prefix at 24 bytes and an observation
+// (prefix plus an 8-byte time) at 32.
+const _: () = assert!(size_of::<Prefix>() == 24);
 
 #[inline]
 fn mask4(len: u8) -> u32 {
@@ -105,7 +155,7 @@ impl Prefix {
     pub fn v6(addr: Ipv6Addr, len: u8) -> Prefix {
         assert!(len <= 128, "IPv6 prefix length {len} > 128");
         Prefix::V6 {
-            addr: u128::from(addr) & mask6(len),
+            addr: V6Bits::new(u128::from(addr) & mask6(len)),
             len,
         }
     }
@@ -125,7 +175,7 @@ impl Prefix {
     pub fn v6_raw(addr: u128, len: u8) -> Prefix {
         assert!(len <= 128, "IPv6 prefix length {len} > 128");
         Prefix::V6 {
-            addr: addr & mask6(len),
+            addr: V6Bits::new(addr & mask6(len)),
             len,
         }
     }
@@ -180,7 +230,7 @@ impl Prefix {
                 la <= lb && (b & mask4(la)) == a
             }
             (Prefix::V6 { addr: a, len: la }, Prefix::V6 { addr: b, len: lb }) => {
-                la <= lb && (b & mask6(la)) == a
+                la <= lb && (b.get() & mask6(la)) == a.get()
             }
             _ => false,
         }
@@ -193,14 +243,14 @@ impl Prefix {
 
     /// Whether an IPv6 address falls inside this prefix.
     pub fn contains_v6(&self, ip: Ipv6Addr) -> bool {
-        matches!(*self, Prefix::V6 { addr, len } if (u128::from(ip) & mask6(len)) == addr)
+        matches!(*self, Prefix::V6 { addr, len } if (u128::from(ip) & mask6(len)) == addr.get())
     }
 
     /// The immediate parent (one bit shorter), or `None` at length 0.
     pub fn parent(&self) -> Option<Prefix> {
         match *self {
             Prefix::V4 { addr, len } if len > 0 => Some(Prefix::v4_raw(addr, len - 1)),
-            Prefix::V6 { addr, len } if len > 0 => Some(Prefix::v6_raw(addr, len - 1)),
+            Prefix::V6 { addr, len } if len > 0 => Some(Prefix::v6_raw(addr.get(), len - 1)),
             _ => None,
         }
     }
@@ -214,7 +264,7 @@ impl Prefix {
         }
         Some(match *self {
             Prefix::V4 { addr, .. } => Prefix::v4_raw(addr, len),
-            Prefix::V6 { addr, .. } => Prefix::v6_raw(addr, len),
+            Prefix::V6 { addr, .. } => Prefix::v6_raw(addr.get(), len),
         })
     }
 
@@ -237,7 +287,7 @@ impl Prefix {
                 Some((
                     Prefix::V6 { addr, len: len + 1 },
                     Prefix::V6 {
-                        addr: addr | bit,
+                        addr: V6Bits::new(addr.get() | bit),
                         len: len + 1,
                     },
                 ))
@@ -270,7 +320,7 @@ impl Prefix {
                 let step = 1u128 << (128 - bl);
                 for i in 0..n as u128 {
                     out.push(Prefix::V6 {
-                        addr: addr + i * step,
+                        addr: V6Bits::new(addr.get() + i * step),
                         len: bl,
                     });
                 }
@@ -289,7 +339,7 @@ impl Prefix {
             }
             Prefix::V6 { addr, .. } => {
                 debug_assert!(i < 128);
-                (addr >> (127 - i)) & 1 == 1
+                (addr.get() >> (127 - i)) & 1 == 1
             }
         }
     }
@@ -308,7 +358,7 @@ impl Prefix {
                 } else {
                     1u128 << (128 - len).min(63)
                 };
-                HostAddr::V6(Ipv6Addr::from(addr + (offset as u128 % span)))
+                HostAddr::V6(Ipv6Addr::from(addr.get() + (offset as u128 % span)))
             }
         }
     }
@@ -354,7 +404,7 @@ impl fmt::Display for Prefix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Prefix::V4 { addr, len } => write!(f, "{}/{}", Ipv4Addr::from(addr), len),
-            Prefix::V6 { addr, len } => write!(f, "{}/{}", Ipv6Addr::from(addr), len),
+            Prefix::V6 { addr, len } => write!(f, "{}/{}", Ipv6Addr::from(addr.get()), len),
         }
     }
 }
@@ -396,6 +446,9 @@ impl FromStr for Prefix {
         Err(ParsePrefixError(format!("{s}: unparseable address")))
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
