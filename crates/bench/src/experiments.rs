@@ -865,9 +865,16 @@ pub fn faults(scale: Scale) -> FaultsResult {
     let detector = PassiveDetector::try_new(DetectorConfig::default()).expect("default config");
     let clean_report = detector.run_slice(&observations, window);
     let off_report = detector.run_slice(&faulted, window);
+    let faulted_histories = detector.learn_model(&faulted, window, 1).into_indexed();
     let on_report = detector
-        .run_slice_with_sentinel(&faulted, window, &SentinelConfig::default())
-        .expect("default sentinel config");
+        .run(
+            &faulted_histories,
+            faulted.iter().copied(),
+            window,
+            1,
+            Some(&SentinelConfig::default()),
+        )
+        .expect("default sentinel config, healthy worker");
 
     let truth: std::collections::HashMap<Prefix, IntervalSet> = scenario
         .schedule

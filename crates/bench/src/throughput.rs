@@ -280,10 +280,14 @@ pub fn throughput(
     // History pass, sequential baseline.
     let learn_seq_secs = time_best(iterations, || {
         std::hint::black_box(
-            detector.learn_histories_indexed(observations.iter().copied(), window),
+            detector
+                .learn_model(&observations, window, 1)
+                .into_indexed(),
         );
     });
-    let histories = detector.learn_histories_indexed(observations.iter().copied(), window);
+    let histories = detector
+        .learn_model(&observations, window, 1)
+        .into_indexed();
     let blocks = histories.len();
 
     // History pass, sharded.
@@ -291,7 +295,9 @@ pub fn throughput(
         .iter()
         .map(|&w| {
             let secs = time_best(iterations, || {
-                let h = detector.learn_histories_parallel(&observations, window, w);
+                let h = detector
+                    .learn_model(&observations, window, w)
+                    .into_indexed();
                 assert_eq!(h.len(), blocks, "sharded learning lost blocks");
                 std::hint::black_box(h);
             });
@@ -494,7 +500,9 @@ pub fn evidence_overhead(
             evidence,
             ..DetectorConfig::default()
         });
-        let histories = detector.learn_histories_indexed(observations.iter().copied(), window);
+        let histories = detector
+            .learn_model(&observations, window, 1)
+            .into_indexed();
         (detector, histories)
     };
     let time_once = |detector: &PassiveDetector, histories: &_| {

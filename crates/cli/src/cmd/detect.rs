@@ -7,8 +7,8 @@
 use super::{detection_window, resolve_workers, CommandError};
 use crate::format;
 use outage_core::{
-    detect_parallel, detect_parallel_with_sentinel, DetectorConfig, EventEvidence, EvidenceConfig,
-    LearnedModel, PassiveDetector, SentinelConfig, StreamingMonitor,
+    DetectorConfig, EventEvidence, EvidenceConfig, LearnedModel, PassiveDetector, SentinelConfig,
+    StreamingMonitor,
 };
 use outage_eval::summarize;
 use outage_netsim::FaultPlan;
@@ -196,36 +196,26 @@ pub fn detect_with(
     // checkpoint replaces the learning pass entirely (warm start).
     let mut warm_note = String::new();
     let mut model_bytes = None;
-    let histories = match &opts.model {
+    let model = match &opts.model {
         Some(path) => {
-            let model = load_checkpoint(path, &detector, window)?;
             warm_note = " [warm start from checkpoint]".to_string();
-            model.into_indexed()
+            load_checkpoint(path, &detector, window)?
         }
-        None if opts.model_out => {
+        None => {
             let model = detector.learn_model(&observations, window, workers);
-            model_bytes = Some(encode_recorded(&detector, &model, &obs));
-            model.into_indexed()
+            if opts.model_out {
+                model_bytes = Some(encode_recorded(&detector, &model, &obs));
+            }
+            model
         }
-        None => detector.learn_histories_parallel(&observations, window, workers),
     };
-    let report = match &opts.sentinel {
-        None => detect_parallel(
-            &detector,
-            &histories,
-            observations.iter().copied(),
-            window,
-            workers,
-        ),
-        Some(cfg) => detect_parallel_with_sentinel(
-            &detector,
-            &histories,
-            observations.iter().copied(),
-            window,
-            workers,
-            cfg,
-        )?,
-    };
+    let report = detector.run(
+        &model.into_indexed(),
+        observations.iter().copied(),
+        window,
+        workers,
+        opts.sentinel.as_ref(),
+    )?;
     // Deterministic by construction: DetectionReport::events sorts at
     // assembly time.
     let events = report.events();

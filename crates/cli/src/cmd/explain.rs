@@ -8,8 +8,19 @@
 //!   one record per line), or
 //! * a live serve daemon, via `GET /events/{id}/explain`.
 //!
-//! Both yield byte-identical JSON for the same event, because every
-//! surface renders [`outage_core::EventEvidence::to_json`].
+//! Every surface renders [`outage_core::EventEvidence::to_json`], so
+//! the two yield byte-identical JSON for the same event *when both
+//! judged it with the same model*. They often do not: `detect` judges
+//! against a model learned from its whole window, while a serve daemon
+//! judges each epoch against a model learned from the epoch before. An
+//! epoch shorter than a day (`serve --epoch 43200` learns from 12
+//! hourly rows) gives every block a history too short to estimate an
+//! hour-of-day shape, so the judgement falls back to the flat
+//! conservative trough ([`outage_core::history::CONSERVATIVE_TROUGH`],
+//! 0.2 in every hour). The daemon's record then shows `shape` 0.2 and
+//! an `expected` one fifth of the flat rate where `detect`'s shows the
+//! learned shape. That is the designed behaviour of a short history,
+//! not a detector fault.
 
 use super::CommandError;
 use outage_obs::Value;

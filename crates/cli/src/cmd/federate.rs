@@ -122,12 +122,10 @@ pub fn federate(
         if let Some(cfg) = opts.sentinel {
             runner = runner.with_sentinel(cfg);
         }
+        let model = runner.learn(ingest, window, 1);
+        reports.push(runner.run_with_model(&model, ingest, window)?);
         if opts.model_out {
-            let model = runner.learn(ingest, window, 1);
-            reports.push(runner.run_with_model(&model, ingest, window)?);
             models.push(model);
-        } else {
-            reports.push(runner.run(ingest, window)?);
         }
     }
 

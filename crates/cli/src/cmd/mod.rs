@@ -56,6 +56,15 @@ impl From<ConfigError> for CommandError {
     }
 }
 
+impl From<outage_core::RunError> for CommandError {
+    fn from(e: outage_core::RunError) -> Self {
+        match e {
+            outage_core::RunError::Config(e) => e.into(),
+            outage_core::RunError::Worker(e) => CommandError(e.to_string()),
+        }
+    }
+}
+
 impl From<StoreError> for CommandError {
     fn from(e: StoreError) -> Self {
         CommandError(format!("model checkpoint: {e}"))

@@ -10,7 +10,7 @@
 //! passive-outage coverage --obs obs.txt
 //! ```
 //!
-//! Data flows through trivially greppable line formats (see [`format`]);
+//! Data flows through trivially greppable line formats (see [`mod@format`]);
 //! command logic lives in [`cmd`] (one module per command family) as
 //! pure functions so the whole pipeline is unit-tested without touching
 //! the filesystem; [`commands`] re-exports the same surface for

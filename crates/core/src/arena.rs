@@ -233,4 +233,28 @@ impl UnitArena {
 }
 
 #[cfg(test)]
+impl UnitArena {
+    /// A one-unit arena: the standalone single-unit detector unit tests
+    /// drive.
+    pub(crate) fn single(
+        config: &DetectorConfig,
+        prefix: Prefix,
+        params: UnitParams,
+        shape: [f64; 24],
+        window: outage_types::Interval,
+    ) -> UnitArena {
+        let mut arena = UnitArena::with_capacity(UnitPolicy::new(config, window), 1);
+        arena.push(config, prefix, params, shape);
+        arena
+    }
+
+    /// End of stream for a one-unit arena: its unit's verdict.
+    pub(crate) fn finish_one(self) -> UnitReport {
+        let mut reports = self.finish_all();
+        assert_eq!(reports.len(), 1, "a one-unit arena reports one unit");
+        reports.pop().unwrap()
+    }
+}
+
+#[cfg(test)]
 pub(crate) mod oracle;

@@ -101,15 +101,12 @@ struct Pair {
 
 impl Pair {
     fn new(case: &Case, prefix: Prefix) -> Pair {
-        let policy = UnitPolicy::new(&case.config, case.window);
-        let mut arena = UnitArena::with_capacity(policy, 1);
-        arena.push(&case.config, prefix, case.params, case.shape);
         Pair {
-            arena,
+            arena: UnitArena::single(&case.config, prefix, case.params, case.shape, case.window),
             bare: UnitState::new(prefix, case.params, &case.shape, &case.config),
             ring: enrolls(case.config.evidence, &prefix).then(UnitEvidence::new),
             shape: case.shape,
-            policy,
+            policy: UnitPolicy::new(&case.config, case.window),
         }
     }
 

@@ -45,11 +45,7 @@
 //! stays below the threshold cannot be decisive, and
 //! [`UnitState::gap_is_decisive`] prunes it the same way before its
 //! hourly loop.
-//!
-//! [`UnitDetector`] is the standalone single-unit view: a one-unit
-//! arena, which tests and one-off callers construct directly.
 
-use crate::arena::UnitArena;
 use crate::belief::{from_log_odds, log_odds, Belief, BeliefClamp};
 use crate::config::DetectorConfig;
 use crate::evidence::{EventEvidence, UnitEvidence};
@@ -630,71 +626,6 @@ impl UnitState {
     }
 }
 
-/// Streaming detector for one unit: a one-unit [`UnitArena`], so a
-/// standalone detector runs the same hot/cold arrival path an engine
-/// runs. Serves tests and single-unit callers.
-#[derive(Debug)]
-pub struct UnitDetector {
-    arena: UnitArena,
-}
-
-impl UnitDetector {
-    /// A detector for `prefix` with tuned `params` over `window`.
-    pub fn new(
-        prefix: Prefix,
-        params: UnitParams,
-        hourly_shape: [f64; 24],
-        config: &DetectorConfig,
-        window: Interval,
-    ) -> UnitDetector {
-        let mut arena = UnitArena::with_capacity(UnitPolicy::new(config, window), 1);
-        arena.push(config, prefix, params, hourly_shape);
-        UnitDetector { arena }
-    }
-
-    fn state(&self) -> &UnitState {
-        &self.arena.states()[0]
-    }
-
-    /// The unit's prefix.
-    pub fn prefix(&self) -> Prefix {
-        self.state().prefix()
-    }
-
-    /// The tuned parameters in force.
-    pub fn params(&self) -> UnitParams {
-        self.state().params
-    }
-
-    /// Current belief that the unit is up.
-    pub fn belief(&self) -> f64 {
-        self.state().belief()
-    }
-
-    /// See [`UnitState::advance_to`].
-    pub fn advance_to(&mut self, t: UnixTime) {
-        self.arena.advance_all(t);
-    }
-
-    /// See [`UnitState::skip_to`].
-    pub fn skip_to(&mut self, t: UnixTime) {
-        self.arena.skip_all(t);
-    }
-
-    /// See [`UnitState::observe`].
-    pub fn observe(&mut self, t: UnixTime) {
-        self.arena.observe(0, t);
-    }
-
-    /// See [`UnitState::finish`].
-    pub fn finish(self) -> UnitReport {
-        self.arena
-            .finish_all()
-            .pop()
-            .expect("a one-unit arena reports one unit")
-    }
-}
-
 /// Relative padding of [`padded_peak`]: far above the rounding error
 /// of any realistic gap sum.
 const PEAK_PAD: f64 = 1.0 + 1.0 / (1u64 << 20) as f64;
@@ -806,11 +737,14 @@ impl UnitReport {
 }
 
 #[cfg(test)]
+mod invariants;
+#[cfg(test)]
 mod prune_bound;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::UnitArena;
 
     fn block() -> Prefix {
         "192.0.2.0/24".parse().unwrap()
@@ -828,14 +762,14 @@ mod tests {
         }
     }
 
-    fn detector(params: UnitParams) -> UnitDetector {
-        UnitDetector::new(
-            block(),
-            params,
-            [1.0; 24],
-            &DetectorConfig::default(),
-            window(),
-        )
+    /// A one-unit arena over [`block`] and [`window`]: the standalone
+    /// single-unit detector these tests drive.
+    fn unit(params: UnitParams, shape: [f64; 24], cfg: &DetectorConfig) -> UnitArena {
+        UnitArena::single(cfg, block(), params, shape, window())
+    }
+
+    fn detector(params: UnitParams) -> UnitArena {
+        unit(params, [1.0; 24], &DetectorConfig::default())
     }
 
     /// Feed arrivals every `step` seconds over `0..86_400`, silent during
@@ -844,10 +778,10 @@ mod tests {
         let mut d = detector(params);
         for t in (0..86_400).step_by(step as usize) {
             if !quiet.contains(&t) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
         }
-        d.finish()
+        d.finish_one()
     }
 
     #[test]
@@ -901,13 +835,13 @@ mod tests {
             use_exact_timestamps: false,
             ..DetectorConfig::default()
         };
-        let mut d = UnitDetector::new(block(), dense_params(), [1.0; 24], &cfg, window());
+        let mut d = unit(dense_params(), [1.0; 24], &cfg);
         for t in (0..86_400).step_by(10) {
             if !(30_130..30_430).contains(&t) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
         }
-        let r = d.finish();
+        let r = d.finish_one();
         assert_eq!(
             r.timeline.down_secs(),
             0,
@@ -940,9 +874,9 @@ mod tests {
             if (30_000..30_300).contains(&t) && t % 20 != 0 {
                 continue;
             }
-            d.observe(UnixTime(t));
+            d.observe(0, UnixTime(t));
         }
-        let r = d.finish();
+        let r = d.finish_one();
         // 15 packets against an expectation of 30 still favours "up" by a
         // wide margin; no outage may be declared.
         assert_eq!(r.timeline.down_secs(), 0, "{:?}", r.timeline.down);
@@ -969,11 +903,15 @@ mod tests {
         let mut d = detector(dense_params());
         for t in (0..86_400).step_by(10) {
             if !(30_000..40_000).contains(&t) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
         }
-        assert!(d.belief() > 0.9, "belief {}", d.belief());
-        let r = d.finish();
+        assert!(
+            d.states()[0].belief() > 0.9,
+            "belief {}",
+            d.states()[0].belief()
+        );
+        let r = d.finish_one();
         assert_eq!(r.timeline.down.len(), 1);
     }
 
@@ -982,10 +920,10 @@ mod tests {
         let mut d = detector(dense_params());
         for t in (0..86_400).step_by(10) {
             if !(20_000..24_000).contains(&t) && !(60_000..63_000).contains(&t) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
         }
-        let r = d.finish();
+        let r = d.finish_one();
         assert_eq!(r.timeline.down.len(), 2, "{:?}", r.timeline.down);
     }
 
@@ -1008,16 +946,16 @@ mod tests {
                 use_exact_timestamps: false, // isolate the bin path
                 ..DetectorConfig::default()
             };
-            let mut d = UnitDetector::new(block(), params, shape, &cfg, window());
+            let mut d = unit(params, shape, &cfg);
             // Traffic matching the shape: 1 per 200 s at night, 1 per 10 s
             // by day.
             for t in (0..43_200u64).step_by(200) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
             for t in (43_200..86_400u64).step_by(10) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
-            d.finish().timeline.down_secs()
+            d.finish_one().timeline.down_secs()
         };
         let without = run(false);
         let with = run(true);
@@ -1044,13 +982,13 @@ mod tests {
             evidence: EvidenceConfig::Full,
             ..DetectorConfig::default()
         };
-        let mut d = UnitDetector::new(block(), dense_params(), [1.0; 24], &cfg, window());
+        let mut d = unit(dense_params(), [1.0; 24], &cfg);
         for t in (0..86_400).step_by(10) {
             if !(30_000..37_200).contains(&t) && !(60_130..60_430).contains(&t) {
-                d.observe(UnixTime(t));
+                d.observe(0, UnixTime(t));
             }
         }
-        let r = d.finish();
+        let r = d.finish_one();
         assert!(!r.detections.is_empty());
         assert_eq!(r.evidence.len(), r.detections.len());
         for (rec, &(iv, conf)) in r.evidence.iter().zip(&r.detections) {

@@ -16,16 +16,19 @@
 //! [`EngineInput::SkipTo`] — and finished once at end of stream. The
 //! execution paths are thin adapters:
 //!
-//! * **Batch** ([`crate::pipeline::PassiveDetector::detect`]) replays
-//!   the slice through one engine and assembles its report.
+//! * **Batch** ([`crate::pipeline::PassiveDetector::detect`], the
+//!   single-threaded reference) replays the slice through one engine
+//!   and assembles its report. A sentinel-guarded reference is an
+//!   engine built with a gate ([`DetectionEngine::from_histories`]).
 //! * **Streaming** ([`crate::streaming::StreamingMonitor`]) keeps only
 //!   the reorder buffer, the epoch clock, and the drain API; ingest,
 //!   quarantine, and unit state all live in an embedded engine whose
 //!   unit set is rotated at epoch boundaries (the gate persists across
 //!   rotations, so a fault spanning an epoch boundary stays one fault).
-//! * **Parallel** ([`crate::parallel::detect_parallel`]) runs the gate
-//!   on the router thread and shards the units across N unit-only
-//!   engines, broadcasting quarantine boundaries in-band.
+//! * **Parallel** ([`crate::pipeline::PassiveDetector::run`], the
+//!   production entry point) runs the gate on the router thread and
+//!   shards the units across N unit-only engines, broadcasting
+//!   quarantine boundaries in-band.
 //!
 //! Because all three paths execute the same `observe`/`skip_to`/
 //! `advance_to`/`finish` call sequences on identical per-unit state
@@ -651,6 +654,7 @@ impl DetectionEngine {
             parts.uncovered,
             parts.strays,
             parts.quarantined,
+            parts.sentinel.as_ref().map(FeedSentinel::health),
             parts.route,
             parts.unit_of_id,
         );

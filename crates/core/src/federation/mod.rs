@@ -19,7 +19,7 @@
 //!   config, its own [`outage_obs::Obs`] scope. A feed blackout at one
 //!   vantage quarantines only that vantage's shard (proven by the
 //!   fault-isolation tests).
-//! * [`fuse_models`] — cross-vantage [`LearnedModel`] fusion: counts
+//! * [`fuse_models`] — cross-vantage [`crate::LearnedModel`] fusion: counts
 //!   sum on the shared arena and the index is canonicalized, so the
 //!   fused model is bit-for-bit identical regardless of merge order.
 //! * [`FederationRouter`] — assembles per-vantage

@@ -1,7 +1,9 @@
 //! One vantage's isolated detection engine.
 
 use crate::config::{ConfigError, DetectorConfig};
+use crate::history::HistorySource;
 use crate::model::LearnedModel;
+use crate::parallel::RunError;
 use crate::pipeline::{DetectionReport, PassiveDetector};
 use crate::sentinel::{FeedHealth, SentinelConfig};
 use outage_obs::Obs;
@@ -87,61 +89,32 @@ impl VantageRunner {
         &self,
         observations: &[Observation],
         window: Interval,
-    ) -> Result<VantageReport, ConfigError> {
-        let histories = self
-            .detector
-            .learn_histories_indexed(observations.iter().copied(), window);
-        self.detect_report(&histories, observations, window)
+    ) -> Result<VantageReport, RunError> {
+        let histories = self.learn(observations, window, 1).into_indexed();
+        self.run_with_model(&histories, observations, window)
     }
 
-    /// Detection pass over this vantage's shard from an already-learned
-    /// (possibly fused, possibly warm-started) model.
-    pub fn run_with_model(
-        &self,
-        model: &LearnedModel,
-        observations: &[Observation],
-        window: Interval,
-    ) -> Result<VantageReport, ConfigError> {
-        self.detect_report(model, observations, window)
-    }
-
-    fn detect_report<H>(
+    /// Detection pass over this vantage's shard from already-learned
+    /// (possibly fused, possibly warm-started) histories: one
+    /// [`PassiveDetector::run`] at one worker.
+    pub fn run_with_model<H: HistorySource + ?Sized>(
         &self,
         histories: &H,
         observations: &[Observation],
         window: Interval,
-    ) -> Result<VantageReport, ConfigError>
-    where
-        H: crate::history::HistorySource + ?Sized,
-    {
-        let report = match &self.sentinel {
-            Some(cfg) => self.detector.detect_with_sentinel(
-                histories,
-                observations.iter().copied(),
-                window,
-                cfg,
-            )?,
-            None => self
-                .detector
-                .detect(histories, observations.iter().copied(), window),
-        };
+    ) -> Result<VantageReport, RunError> {
+        let report = self.detector.run(
+            histories,
+            observations.iter().copied(),
+            window,
+            1,
+            self.sentinel.as_ref(),
+        )?;
         Ok(VantageReport {
             vantage: self.vantage,
+            feed_health: report.feed_health,
             report,
-            feed_health: self.final_health(),
             watermark: window.end,
         })
-    }
-
-    /// The sentinel's final state, read back from this vantage's own
-    /// registry (where every detection path exports it).
-    fn final_health(&self) -> Option<FeedHealth> {
-        self.sentinel.as_ref()?;
-        match self.obs().registry.value("po_sentinel_health", &[]) {
-            Some(h) if h as i64 == 0 => Some(FeedHealth::Healthy),
-            Some(h) if h as i64 == 1 => Some(FeedHealth::Degraded),
-            Some(h) if h as i64 == 2 => Some(FeedHealth::Dark),
-            _ => None,
-        }
     }
 }

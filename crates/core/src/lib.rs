@@ -22,8 +22,16 @@
 //! * and accounts for who is measurable at which precision
 //!   ([`coverage`]).
 //!
-//! [`PassiveDetector`] ties the stages into a two-pass pipeline;
-//! [`parallel::detect_parallel`] shards it across threads for large runs.
+//! [`PassiveDetector`] ties the stages into a two-pass pipeline:
+//! [`PassiveDetector::learn_model`] learns the histories, and
+//! [`PassiveDetector::run`] — the one production entry point for a batch
+//! detection — judges a stream against them across worker threads, with
+//! an optional feed sentinel. [`PassiveDetector::detect`] is the
+//! single-threaded reference the equivalence tests hold `run` to, and
+//! [`PassiveDetector::run_slice`] a self-calibrating convenience for
+//! small in-memory runs. [`detect_parallel`] and
+//! [`VantageRunner::run`]/[`VantageRunner::run_with_model`] stay as thin
+//! wrappers over `run` because the benchmark package calls them.
 //!
 //! ## Quick start
 //!
@@ -77,7 +85,7 @@ pub use belief::{Belief, BeliefClamp};
 pub use config::{AggregationConfig, ConfigError, DetectorConfig, EvidenceConfig};
 pub use correlate::fuse_timelines;
 pub use coverage::{coverage_by_width, spatial_coverage, CoveragePoint, SpatialCoverage};
-pub use detector::{UnitDetector, UnitDiagnostics, UnitReport};
+pub use detector::{UnitDiagnostics, UnitReport};
 pub use engine::{DetectionEngine, EngineInput, EngineOutput, QuarantineGate};
 pub use evidence::{event_id, EventEvidence, EvidenceSample, EvidenceTrigger};
 pub use federation::{
@@ -87,10 +95,7 @@ pub use federation::{
 pub use history::{f64_bits_eq, BlockHistory, HistoryBuilder, HistorySource, IndexedHistories};
 pub use index::BlockIndex;
 pub use model::{LearnedModel, ModelError};
-pub use parallel::{
-    detect_parallel, detect_parallel_from_model, detect_parallel_with_sentinel,
-    try_detect_parallel, ShardPartition, WorkerPanic,
-};
+pub use parallel::{detect_parallel, RunError, ShardPartition, WorkerPanic};
 pub use pipeline::{DetectionReport, PassiveDetector};
 pub use sentinel::{FeedHealth, FeedSentinel, SentinelAccounting, SentinelConfig};
 pub use service::{

@@ -1,4 +1,5 @@
-//! Parallel detection driver.
+//! Parallel detection driver: the body of [`PassiveDetector::run`], the
+//! one production entry point for a batch detection.
 //!
 //! A day of root-server traffic is millions of arrivals across hundreds
 //! of thousands of independent per-unit detectors — embarrassingly
@@ -45,24 +46,24 @@
 //!   of its detectors past the faulted span.
 //!
 //! Because the channel preserves order, every detector sees the same
-//! `observe`/`skip_to` call sequence it would in the sequential
-//! [`PassiveDetector::detect_with_sentinel`] — timelines and the
-//! reported quarantined set are identical, for any worker count.
+//! `observe`/`skip_to` call sequence it would in a sequential
+//! [`DetectionEngine`] owning the same gate — timelines, the reported
+//! quarantined set and the final feed health are identical, for any
+//! worker count.
 //!
 //! ## Worker failure
 //!
 //! A worker that panics mid-run is a *typed* failure, not a router
 //! panic: the router notices the closed channel (or the recorded panic
 //! at join), stops routing, drains the remaining workers, and
-//! [`try_detect_parallel`] returns [`WorkerPanic`] naming the dead
-//! worker. The panicking wrappers ([`detect_parallel`] and friends)
-//! propagate that same message.
+//! [`PassiveDetector::run`] returns [`RunError::Worker`] naming the
+//! dead worker. Only the [`detect_parallel`] wrapper turns that back
+//! into a panic.
 
 use crate::config::{ConfigError, DetectorConfig};
 use crate::detector::UnitReport;
 use crate::engine::{DetectionEngine, QuarantineGate};
 use crate::history::HistorySource;
-use crate::model::LearnedModel;
 use crate::pipeline::{build_routing, DetectionReport, PassiveDetector};
 use crate::sentinel::{FeedSentinel, SentinelConfig};
 use outage_obs::span;
@@ -159,10 +160,10 @@ impl ShardPartition {
     }
 }
 
-/// A detection worker thread died mid-run. Returned by the
-/// [`try_detect_parallel`] family after the remaining workers were
-/// drained and joined — the run does not hang and no other worker is
-/// left mid-batch.
+/// A detection worker thread died mid-run. Returned (as
+/// [`RunError::Worker`]) by [`PassiveDetector::run`] after the remaining
+/// workers were drained and joined — the run does not hang and no other
+/// worker is left mid-batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorkerPanic {
     /// Index of the worker whose thread panicked.
@@ -209,13 +210,64 @@ enum Msg {
     SkipTo(UnixTime),
 }
 
-/// Run the detection pass across `workers` threads. History learning and
-/// planning stay sequential here (see
-/// [`PassiveDetector::learn_histories_parallel`] for the sharded history
-/// pass); only per-unit streaming detection is parallelized.
-///
-/// Panics if a worker thread panics; use [`try_detect_parallel`] to
-/// handle that as a typed error instead.
+/// Why [`PassiveDetector::run`] returned no report.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// The sentinel configuration is invalid. Checked before any
+    /// thread starts.
+    Config(ConfigError),
+    /// A detection worker panicked. The other workers were drained and
+    /// every thread joined before the run returned.
+    Worker(WorkerPanic),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Config(e) => e.fmt(f),
+            RunError::Worker(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<ConfigError> for RunError {
+    fn from(e: ConfigError) -> RunError {
+        RunError::Config(e)
+    }
+}
+
+impl PassiveDetector {
+    /// The production batch detection: plan units from `histories`
+    /// (learned, fused or warm-started), then judge `observations`
+    /// across `workers` threads (see the module docs), guarded by a
+    /// feed sentinel when `sentinel` is given. At any worker count the
+    /// report, its quarantined set, feed health and evidence equal the
+    /// single-threaded reference: [`PassiveDetector::detect`], or with a
+    /// sentinel one [`DetectionEngine`] owning the same gate.
+    pub fn run<H, I>(
+        &self,
+        histories: &H,
+        observations: I,
+        window: Interval,
+        workers: usize,
+        sentinel: Option<&SentinelConfig>,
+    ) -> Result<DetectionReport, RunError>
+    where
+        H: HistorySource + ?Sized,
+        I: IntoIterator<Item = Observation>,
+    {
+        if let Some(cfg) = sentinel {
+            cfg.validate()?;
+        }
+        drive(self, histories, observations, window, workers, sentinel).map_err(RunError::Worker)
+    }
+}
+
+/// [`PassiveDetector::run`] without a sentinel, panicking on a
+/// [`WorkerPanic`]. Kept because the benchmark package calls it; a
+/// benchmark change may move it to `run`.
 pub fn detect_parallel<H, I>(
     detector: &PassiveDetector,
     histories: &H,
@@ -227,105 +279,43 @@ where
     H: HistorySource + ?Sized,
     I: IntoIterator<Item = Observation>,
 {
-    match try_detect_parallel(detector, histories, observations, window, workers) {
+    match detector.run(histories, observations, window, workers, None) {
         Ok(report) => report,
         Err(e) => panic!("{e}"),
     }
 }
 
-/// [`detect_parallel`] returning a typed [`WorkerPanic`] instead of
-/// panicking when a worker thread dies.
-pub fn try_detect_parallel<H, I>(
-    detector: &PassiveDetector,
-    histories: &H,
-    observations: I,
-    window: Interval,
-    workers: usize,
-) -> Result<DetectionReport, WorkerPanic>
-where
-    H: HistorySource + ?Sized,
-    I: IntoIterator<Item = Observation>,
-{
-    detect_parallel_inner(
-        detector,
-        histories,
-        observations,
-        window,
-        workers,
-        None,
-        None,
-    )
+// Test hook: the worker that panics on its first message, to exercise
+// the drain path end to end through `PassiveDetector::run`.
+#[cfg(test)]
+thread_local! {
+    static INJECT_FAULT: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
 }
 
-/// [`detect_parallel`] warm-started from a checkpointed model: units are
-/// planned from the model's stored histories, so the result is identical
-/// to the sequential [`PassiveDetector::detect`] over the same model —
-/// one learning pass serves any worker count.
-pub fn detect_parallel_from_model<I>(
-    detector: &PassiveDetector,
-    model: &LearnedModel,
-    observations: I,
-    window: Interval,
-    workers: usize,
-) -> DetectionReport
-where
-    I: IntoIterator<Item = Observation>,
-{
-    match detect_parallel_inner(detector, model, observations, window, workers, None, None) {
-        Ok(report) => report,
-        Err(e) => panic!("{e}"),
-    }
+#[cfg(test)]
+fn injected_fault() -> Option<usize> {
+    INJECT_FAULT.with(std::cell::Cell::get)
 }
 
-/// [`detect_parallel`] guarded by a feed sentinel: the router thread
-/// runs the quarantine gate over the global arrival order and broadcasts
-/// quarantine boundaries in-band (see the module docs), so the result —
-/// including [`DetectionReport::quarantined`] — is identical to the
-/// sequential [`PassiveDetector::detect_with_sentinel`].
-pub fn detect_parallel_with_sentinel<H, I>(
-    detector: &PassiveDetector,
-    histories: &H,
-    observations: I,
-    window: Interval,
-    workers: usize,
-    sentinel: &SentinelConfig,
-) -> Result<DetectionReport, ConfigError>
-where
-    H: HistorySource + ?Sized,
-    I: IntoIterator<Item = Observation>,
-{
-    sentinel.validate()?;
-    match detect_parallel_inner(
-        detector,
-        histories,
-        observations,
-        window,
-        workers,
-        Some(sentinel),
-        None,
-    ) {
-        Ok(report) => Ok(report),
-        Err(e) => panic!("{e}"),
-    }
+#[cfg(not(test))]
+fn injected_fault() -> Option<usize> {
+    None
 }
 
-#[allow(clippy::too_many_arguments)]
-fn detect_parallel_inner<H, I>(
+fn drive<H, I>(
     detector: &PassiveDetector,
     histories: &H,
     observations: I,
     window: Interval,
     workers: usize,
     sentinel_cfg: Option<&SentinelConfig>,
-    // Test hook: make this worker panic on its first message, to
-    // exercise the drain path end to end.
-    inject_fault: Option<usize>,
 ) -> Result<DetectionReport, WorkerPanic>
 where
     H: HistorySource + ?Sized,
     I: IntoIterator<Item = Observation>,
 {
     let workers = workers.max(1);
+    let inject_fault = injected_fault();
     let plan = detector.plan_units(histories);
     let config: &DetectorConfig = detector.config();
 
@@ -583,6 +573,7 @@ where
         plan.uncovered,
         strays,
         quarantined,
+        sentinel.as_ref().map(FeedSentinel::health),
         route,
         unit_of_id,
     );
@@ -699,7 +690,7 @@ mod tests {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
         let map = det.learn_histories(obs.iter().copied(), window);
-        let indexed = det.learn_histories_parallel(&obs, window, 4);
+        let indexed = det.learn_model(&obs, window, 4).into_indexed();
         let a = detect_parallel(&det, &map, obs.iter().copied(), window, 2);
         let b = detect_parallel(&det, &indexed, obs.iter().copied(), window, 2);
         for i in 0..12u32 {
@@ -723,11 +714,12 @@ mod tests {
     fn parallel_from_model_matches_sequential_model_run() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let model = LearnedModel::learn(obs.iter().copied(), window);
+        let model = crate::LearnedModel::learn(obs.iter().copied(), window);
         let seq = det.detect(&model, obs.iter().copied(), window);
         for workers in [1, 4] {
-            let par =
-                detect_parallel_from_model(&det, &model, obs.iter().copied(), window, workers);
+            let par = det
+                .run(&model, obs.iter().copied(), window, workers, None)
+                .unwrap();
             assert_eq!(par.covered_blocks(), seq.covered_blocks());
             for i in 0..12u32 {
                 let b = Prefix::v4_raw(0x0A00_0000 + (i << 8), 24);
@@ -749,23 +741,32 @@ mod tests {
         assert_eq!(par.covered_blocks(), 12);
     }
 
+    /// `run` with worker `fault` made to panic on its first message.
+    fn run_with_fault(
+        det: &PassiveDetector,
+        obs: &[Observation],
+        window: Interval,
+        workers: usize,
+        sentinel: Option<&SentinelConfig>,
+        fault: usize,
+    ) -> Result<DetectionReport, RunError> {
+        let histories = det.learn_histories(obs.iter().copied(), window);
+        INJECT_FAULT.with(|f| f.set(Some(fault)));
+        let result = det.run(&histories, obs.iter().copied(), window, workers, sentinel);
+        INJECT_FAULT.with(|f| f.set(None));
+        result
+    }
+
     #[test]
     fn worker_panic_is_a_typed_error_that_names_the_worker() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
         // Inject a panic into worker 1 of 3; the router must drain the
-        // other two and return a typed error, not hang or panic.
-        let err = detect_parallel_inner(
-            &det,
-            &histories,
-            obs.iter().copied(),
-            window,
-            3,
-            None,
-            Some(1),
-        )
-        .unwrap_err();
+        // other two and return a typed error, not hang or panic. `run`
+        // returns only after its thread scope joined every worker.
+        let Err(RunError::Worker(err)) = run_with_fault(&det, &obs, window, 3, None, 1) else {
+            panic!("a worker panic must be RunError::Worker");
+        };
         assert_eq!(err.worker, 1);
         assert!(
             err.message.contains("injected worker fault"),
@@ -774,15 +775,43 @@ mod tests {
         );
         let shown = err.to_string();
         assert!(shown.contains("worker 1"), "names the worker: {shown}");
+        // Nothing is left in flight, and the same detector runs again.
+        assert_eq!(
+            det.obs().registry.value("po_router_queue_depth", &[]),
+            Some(0.0)
+        );
+        let histories = det.learn_histories(obs.iter().copied(), window);
+        let again = det.run(&histories, obs.iter().copied(), window, 3, None);
+        assert_eq!(again.unwrap().covered_blocks(), 12);
     }
 
     #[test]
-    fn try_detect_parallel_succeeds_on_healthy_workers() {
+    fn run_succeeds_on_healthy_workers() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
         let histories = det.learn_histories(obs.iter().copied(), window);
-        let report = try_detect_parallel(&det, &histories, obs.iter().copied(), window, 4).unwrap();
+        let report = det
+            .run(&histories, obs.iter().copied(), window, 4, None)
+            .unwrap();
         assert_eq!(report.covered_blocks(), 12);
+        assert_eq!(report.feed_health, None, "no sentinel ran");
+    }
+
+    /// The sequential reference for a sentinel run: one engine owning
+    /// the gate.
+    fn gated_reference(
+        det: &PassiveDetector,
+        histories: &impl HistorySource,
+        obs: &[Observation],
+        window: Interval,
+        cfg: &SentinelConfig,
+    ) -> DetectionReport {
+        let gate = QuarantineGate::new(*cfg, window.start).unwrap();
+        let mut engine = DetectionEngine::from_histories(det, histories, window, Some(gate));
+        for o in obs {
+            engine.observe(*o);
+        }
+        engine.finish().report
     }
 
     #[test]
@@ -791,24 +820,18 @@ mod tests {
         let det = PassiveDetector::new(DetectorConfig::default());
         let histories = det.learn_histories(obs.iter().copied(), window);
         let cfg = SentinelConfig::default();
-        let seq = det
-            .detect_with_sentinel(&histories, obs.iter().copied(), window, &cfg)
-            .unwrap();
+        let seq = gated_reference(&det, &histories, &obs, window, &cfg);
         assert!(!seq.quarantined.is_empty(), "fixture must quarantine");
+        assert!(seq.feed_health.is_some());
         for workers in [1, 2, 4, 8] {
-            let par = detect_parallel_with_sentinel(
-                &det,
-                &histories,
-                obs.iter().copied(),
-                window,
-                workers,
-                &cfg,
-            )
-            .unwrap();
+            let par = det
+                .run(&histories, obs.iter().copied(), window, workers, Some(&cfg))
+                .unwrap();
             assert_eq!(
                 par.quarantined, seq.quarantined,
                 "quarantine differs at {workers} workers"
             );
+            assert_eq!(par.feed_health, seq.feed_health);
             assert_eq!(par.strays, seq.strays);
             for i in 0..4u32 {
                 let b = Prefix::v4_raw(0xC633_6400 + (i << 8), 24);
@@ -830,9 +853,9 @@ mod tests {
         let det = PassiveDetector::new(DetectorConfig::default());
         let histories = det.learn_histories(obs.iter().copied(), window);
         let cfg = SentinelConfig::default();
-        let par =
-            detect_parallel_with_sentinel(&det, &histories, obs.iter().copied(), window, 3, &cfg)
-                .unwrap();
+        let par = det
+            .run(&histories, obs.iter().copied(), window, 3, Some(&cfg))
+            .unwrap();
         assert!(!par.quarantined.is_empty());
         for u in &par.units {
             assert!(
@@ -851,14 +874,18 @@ mod tests {
     fn invalid_sentinel_config_is_a_typed_error() {
         let (obs, window) = make_observations();
         let det = PassiveDetector::new(DetectorConfig::default());
-        let histories = det.learn_histories(obs.iter().copied(), window);
         let bad = SentinelConfig {
             recovery_buckets: 0,
             ..SentinelConfig::default()
         };
-        let err =
-            detect_parallel_with_sentinel(&det, &histories, obs.iter().copied(), window, 2, &bad)
-                .unwrap_err();
-        assert_eq!(err, ConfigError::SentinelNoRecovery);
+        // A worker set to panic on its first message never gets one:
+        // the config is refused before any thread starts.
+        let err = run_with_fault(&det, &obs, window, 2, Some(&bad), 0).unwrap_err();
+        assert_eq!(err, RunError::Config(ConfigError::SentinelNoRecovery));
+        assert_eq!(
+            det.obs().registry.value("po_router_batches_total", &[]),
+            None,
+            "no router instrument registered, so no worker spawned"
+        );
     }
 }

@@ -8,7 +8,13 @@
 //! 2. **Planning** — tune parameters per block and pool sparse blocks
 //!    into aggregates ([`crate::aggregate::plan`]).
 //! 3. **Detection pass** — stream the observations again, routing each to
-//!    its detection unit's streaming [`UnitDetector`].
+//!    its detection unit in a [`DetectionEngine`].
+//!
+//! [`PassiveDetector::run`] is the one production entry point for the
+//! detection pass: the threaded driver of [`crate::parallel`], with an
+//! optional feed sentinel. [`PassiveDetector::detect`] is the
+//! single-threaded reference it is tested against, and
+//! [`PassiveDetector::run_slice`] the self-calibrating convenience.
 //!
 //! In production the "history" would be yesterday's traffic; in a
 //! one-shot evaluation the same window serves both roles (the robust
@@ -18,12 +24,12 @@
 use crate::aggregate::{plan, AggregationPlan};
 use crate::config::{ConfigError, DetectorConfig};
 use crate::detector::{UnitDiagnostics, UnitReport};
-use crate::engine::{fill_evidence_quarantine, DetectionEngine, EngineOutput, QuarantineGate};
+use crate::engine::{fill_evidence_quarantine, DetectionEngine};
 use crate::evidence::EventEvidence;
-use crate::history::{BlockHistory, HistoryBuilder, HistorySource, IndexedHistories};
+use crate::history::{BlockHistory, HistoryBuilder, HistorySource};
 use crate::index::BlockIndex;
 use crate::model::LearnedModel;
-use crate::sentinel::{FeedSentinel, SentinelConfig};
+use crate::sentinel::{FeedHealth, FeedSentinel};
 use outage_obs::{span, Obs, Registry, DURATION_BUCKETS, LATENCY_BUCKETS};
 use outage_types::{Interval, IntervalSet, Observation, OutageEvent, Prefix, Timeline};
 use std::collections::HashMap;
@@ -46,6 +52,9 @@ pub struct DetectionReport {
     /// faulted: no verdicts were formed there, and evaluation should
     /// exclude them. Empty unless the run used a sentinel.
     pub quarantined: IntervalSet,
+    /// The feed sentinel's health at the end of the run; `None` when
+    /// the run had no sentinel.
+    pub feed_health: Option<FeedHealth>,
     /// Member block → dense id (the detection pass's routing table,
     /// kept so per-block queries stay one cheap probe).
     route: BlockIndex,
@@ -54,9 +63,9 @@ pub struct DetectionReport {
 }
 
 impl DetectionReport {
-    /// Assemble a report from its parts (used by the parallel driver).
-    /// `quarantined` carries the sentinel's verdict-free spans — empty
-    /// for runs without a sentinel, never silently dropped.
+    /// Assemble a report from its parts. `quarantined` carries the
+    /// sentinel's verdict-free spans — empty for runs without a
+    /// sentinel, never silently dropped.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         window: Interval,
@@ -65,6 +74,7 @@ impl DetectionReport {
         uncovered: Vec<Prefix>,
         strays: u64,
         quarantined: IntervalSet,
+        feed_health: Option<FeedHealth>,
         route: BlockIndex,
         unit_of_id: Vec<u32>,
     ) -> DetectionReport {
@@ -79,6 +89,7 @@ impl DetectionReport {
             uncovered,
             strays,
             quarantined,
+            feed_health,
             route,
             unit_of_id,
         }
@@ -317,75 +328,42 @@ impl PassiveDetector {
         hb.build()
     }
 
-    /// [`Self::learn_histories`] keeping the dense block index: the
-    /// result routes by flat id lookup instead of per-prefix hashing.
-    pub fn learn_histories_indexed<I: IntoIterator<Item = Observation>>(
-        &self,
-        observations: I,
-        window: Interval,
-    ) -> IndexedHistories {
-        let mut sp = span!(self.obs, "learn");
-        let t0 = Instant::now();
-        let mut hb = HistoryBuilder::new(window);
-        hb.record_all(observations);
-        sp.field("blocks", hb.block_count());
-        self.observe_stage("learn", t0);
-        hb.build_indexed()
-    }
-
-    /// Learn histories sharded across `workers` threads: the slice is
-    /// split into contiguous chunks, each counted by its own
-    /// [`HistoryBuilder`], and the per-shard builders are merged in
-    /// shard order — which reproduces the sequential result exactly
-    /// (counts are sums; merge order preserves first-appearance ids).
-    pub fn learn_histories_parallel(
-        &self,
-        observations: &[Observation],
-        window: Interval,
-        workers: usize,
-    ) -> IndexedHistories {
-        match self.learn_builder(observations, window, workers) {
-            None => self.learn_histories_indexed(observations.iter().copied(), window),
-            Some(hb) => hb.build_indexed(),
-        }
-    }
-
-    /// Learn a checkpointable [`LearnedModel`]: the same sharded pass as
-    /// [`Self::learn_histories_parallel`], but the per-hour count arena
-    /// is kept alongside the built histories so the result can be saved,
-    /// merged with an adjacent window's model, and warm-started from.
-    /// Produces bit-identical histories to the plain learn paths.
+    /// Learn a checkpointable [`LearnedModel`], sharded across
+    /// `workers` threads: the slice is split into contiguous chunks,
+    /// each counted by its own [`HistoryBuilder`], and the per-shard
+    /// builders are merged in shard order — which reproduces the
+    /// sequential result exactly (counts are sums; merge order preserves
+    /// first-appearance ids). The per-hour count arena is kept beside
+    /// the built histories so the model can be saved, fused or merged;
+    /// [`LearnedModel::into_indexed`] drops it when only the histories
+    /// are needed.
     pub fn learn_model(
         &self,
         observations: &[Observation],
         window: Interval,
         workers: usize,
     ) -> LearnedModel {
-        match self.learn_builder(observations, window, workers) {
-            None => {
-                let mut sp = span!(self.obs, "learn");
-                let t0 = Instant::now();
-                let mut hb = HistoryBuilder::new(window);
-                hb.record_all(observations.iter().copied());
-                sp.field("blocks", hb.block_count());
-                self.observe_stage("learn", t0);
-                hb.into_model()
-            }
-            Some(hb) => hb.into_model(),
-        }
+        self.learn_builder(observations, window, workers)
+            .into_model()
     }
 
-    /// Shared sharded history pass. Returns `None` when the input is too
-    /// small to shard (callers fall back to their sequential variant).
+    /// The history pass behind [`Self::learn_model`]: one builder when
+    /// `workers` is 1 or the input is too small to shard.
     fn learn_builder(
         &self,
         observations: &[Observation],
         window: Interval,
         workers: usize,
-    ) -> Option<HistoryBuilder> {
+    ) -> HistoryBuilder {
         let workers = workers.max(1);
         if workers == 1 || observations.len() < 2 * workers {
-            return None;
+            let mut sp = span!(self.obs, "learn");
+            let t0 = Instant::now();
+            let mut hb = HistoryBuilder::new(window);
+            hb.record_all(observations.iter().copied());
+            sp.field("blocks", hb.block_count());
+            self.observe_stage("learn", t0);
+            return hb;
         }
         let mut sp = span!(self.obs, "learn", workers = workers);
         let t0 = Instant::now();
@@ -424,7 +402,7 @@ impl PassiveDetector {
         }
         sp.field("blocks", merged.block_count());
         self.observe_stage("learn", t0);
-        Some(merged)
+        merged
     }
 
     /// Plan detection units from learned histories (diurnal-trough
@@ -447,41 +425,11 @@ impl PassiveDetector {
         planned
     }
 
-    /// Detection pass: run planned units over a stream.
+    /// The single-threaded reference detection pass: run planned units
+    /// over a stream through one [`DetectionEngine`], without a
+    /// sentinel. [`Self::run`] is the production entry point; the
+    /// equivalence tests hold it to this.
     pub fn detect<H, I>(&self, histories: &H, observations: I, window: Interval) -> DetectionReport
-    where
-        H: HistorySource + ?Sized,
-        I: IntoIterator<Item = Observation>,
-    {
-        self.detect_inner(histories, observations, window, None)
-    }
-
-    /// Detection pass guarded by a feed sentinel: spans where the
-    /// *sensor* looks faulted (aggregate arrival rate collapsed) are
-    /// quarantined — no unit judges them, and they are reported in
-    /// [`DetectionReport::quarantined`] for evaluation to exclude.
-    pub fn detect_with_sentinel<H, I>(
-        &self,
-        histories: &H,
-        observations: I,
-        window: Interval,
-        sentinel: &SentinelConfig,
-    ) -> Result<DetectionReport, ConfigError>
-    where
-        H: HistorySource + ?Sized,
-        I: IntoIterator<Item = Observation>,
-    {
-        sentinel.validate()?;
-        Ok(self.detect_inner(histories, observations, window, Some(sentinel)))
-    }
-
-    fn detect_inner<H, I>(
-        &self,
-        histories: &H,
-        observations: I,
-        window: Interval,
-        sentinel_cfg: Option<&SentinelConfig>,
-    ) -> DetectionReport
     where
         H: HistorySource + ?Sized,
         I: IntoIterator<Item = Observation>,
@@ -489,18 +437,14 @@ impl PassiveDetector {
         let plan = self.plan_units(histories);
         let mut sp = span!(self.obs, "detect", units = plan.units.len());
         let t0 = Instant::now();
-        // Batch is the thinnest adapter over the shared kernel: replay
-        // the slice through one engine and assemble its report.
-        let gate = sentinel_cfg
-            .map(|cfg| QuarantineGate::from_sentinel(FeedSentinel::new(*cfg, window.start)));
-        let mut engine = DetectionEngine::from_plan(&self.config, plan, histories, window, gate);
+        let mut engine = DetectionEngine::from_plan(&self.config, plan, histories, window, None);
         for obs in observations {
             engine.observe(obs);
         }
-        let EngineOutput { report, sentinel } = engine.finish();
+        let report = engine.finish().report;
         sp.field("strays", report.strays);
         self.observe_stage("detect", t0);
-        self.export_run_metrics(&report, sentinel.as_ref());
+        self.export_run_metrics(&report, None);
         report
     }
 
@@ -518,34 +462,12 @@ impl PassiveDetector {
         }
     }
 
-    /// Convenience: self-calibrated two-pass run over a replayable
-    /// source (history learned from the same window that is judged).
-    pub fn run_replay<F, I>(&self, source: F, window: Interval) -> DetectionReport
-    where
-        F: Fn() -> I,
-        I: IntoIterator<Item = Observation>,
-    {
-        let histories = self.learn_histories_indexed(source(), window);
-        self.detect(&histories, source(), window)
-    }
-
-    /// Convenience: two-pass run over an in-memory slice.
+    /// Convenience: a self-calibrated two-pass run over an in-memory
+    /// slice (history learned from the same window that is judged),
+    /// single-threaded and without a sentinel.
     pub fn run_slice(&self, observations: &[Observation], window: Interval) -> DetectionReport {
-        self.run_replay(|| observations.iter().copied(), window)
-    }
-
-    /// [`Self::run_slice`] with a feed sentinel guarding the detection
-    /// pass (history is still learned from the full slice: a faulted
-    /// span depresses learned rates slightly, in the conservative
-    /// direction).
-    pub fn run_slice_with_sentinel(
-        &self,
-        observations: &[Observation],
-        window: Interval,
-        sentinel: &SentinelConfig,
-    ) -> Result<DetectionReport, ConfigError> {
-        let histories = self.learn_histories_indexed(observations.iter().copied(), window);
-        self.detect_with_sentinel(&histories, observations.iter().copied(), window, sentinel)
+        let histories = self.learn_model(observations, window, 1).into_indexed();
+        self.detect(&histories, observations.iter().copied(), window)
     }
 }
 
@@ -792,6 +714,20 @@ mod tests {
         obs
     }
 
+    /// Self-calibrated run of `obs` through [`PassiveDetector::run`]
+    /// with the default sentinel.
+    fn run_with_sentinel(det: &PassiveDetector, obs: &[Observation]) -> DetectionReport {
+        let histories = det.learn_model(obs, window(), 1).into_indexed();
+        det.run(
+            &histories,
+            obs.iter().copied(),
+            window(),
+            1,
+            Some(&crate::SentinelConfig::default()),
+        )
+        .expect("valid sentinel config")
+    }
+
     #[test]
     fn try_new_rejects_invalid_config() {
         let c = DetectorConfig {
@@ -826,9 +762,7 @@ mod tests {
         let blackout = 43_200..45_000;
         let obs = blacked_out_fleet(blackout.clone());
         let det = PassiveDetector::new(DetectorConfig::default());
-        let report = det
-            .run_slice_with_sentinel(&obs, window(), &crate::SentinelConfig::default())
-            .expect("valid sentinel config");
+        let report = run_with_sentinel(&det, &obs);
         for u in &report.units {
             assert!(
                 !u.timeline
@@ -854,9 +788,7 @@ mod tests {
         let mut obs = blacked_out_fleet(0..0);
         obs.retain(|o| o.time.secs() < 60_000);
         let det = PassiveDetector::new(DetectorConfig::default());
-        let report = det
-            .run_slice_with_sentinel(&obs, window(), &crate::SentinelConfig::default())
-            .expect("valid sentinel config");
+        let report = run_with_sentinel(&det, &obs);
         for u in &report.units {
             assert!(
                 !u.timeline

@@ -1,9 +1,11 @@
 //! Property tests: all three execution paths are the *same detector*.
 //!
-//! Batch (`PassiveDetector::detect*`), streaming replay
-//! (`StreamingMonitor::from_model` with one window-sized epoch), and the
-//! parallel driver (`detect_parallel*` at any worker count) are thin
-//! adapters over one [`DetectionEngine`] — so on the same scenario,
+//! The single-threaded reference (`PassiveDetector::detect`, or one
+//! [`DetectionEngine`] owning a [`QuarantineGate`] when a sentinel
+//! guards the run), streaming replay (`StreamingMonitor::from_model`
+//! with one window-sized epoch), and the production entry point
+//! `PassiveDetector::run` (the threaded driver, at 1, 2, 4 and 8
+//! workers) are thin adapters over one engine — so on the same scenario,
 //! driven from the same learned model, they must produce identical
 //! `OutageEvent` lists, identical quarantined sets, and (for the paths
 //! that export them) identical detection-semantic metrics. With and
@@ -15,9 +17,9 @@
 //! re-seed protocol exactly.
 
 use outage_core::{
-    detect_parallel, detect_parallel_with_sentinel, DetectionEngine, DetectorConfig, EngineInput,
-    EventEvidence, EvidenceConfig, FeedSentinel, LearnedModel, PassiveDetector, QuarantineGate,
-    SentinelConfig, ShardPartition, StreamingMonitor,
+    DetectionEngine, DetectionReport, DetectorConfig, EngineInput, EventEvidence, EvidenceConfig,
+    FeedSentinel, HistorySource, LearnedModel, PassiveDetector, QuarantineGate, SentinelConfig,
+    ShardPartition, StreamingMonitor,
 };
 use outage_netsim::FaultPlan;
 use outage_obs::Obs;
@@ -59,6 +61,42 @@ fn assert_sorted(events: &[OutageEvent]) {
             w[0]
         );
     }
+}
+
+/// The sequential sentinel reference: one engine owning the gate, its
+/// report and sentinel exported into the detector's registry exactly as
+/// every detection run exports them.
+fn gated_detect<H: HistorySource + ?Sized>(
+    det: &PassiveDetector,
+    histories: &H,
+    obs: &[Observation],
+    window: Interval,
+    cfg: &SentinelConfig,
+) -> DetectionReport {
+    let gate = QuarantineGate::new(*cfg, window.start).expect("valid sentinel config");
+    let mut engine = DetectionEngine::from_histories(det, histories, window, Some(gate));
+    for o in obs {
+        engine.observe(*o);
+    }
+    let out = engine.finish();
+    out.report.export_metrics(&det.obs().registry);
+    if let Some(s) = &out.sentinel {
+        s.export_metrics(&det.obs().registry);
+    }
+    out.report
+}
+
+/// `PassiveDetector::run` over a slice.
+fn run(
+    det: &PassiveDetector,
+    histories: &(impl HistorySource + ?Sized),
+    obs: &[Observation],
+    window: Interval,
+    workers: usize,
+    cfg: Option<&SentinelConfig>,
+) -> DetectionReport {
+    det.run(histories, obs.iter().copied(), window, workers, cfg)
+        .expect("valid sentinel config, healthy workers")
 }
 
 /// Replay a finished slice through the streaming adapter: one epoch
@@ -148,9 +186,7 @@ fn three_way_equivalence_with_faults() {
         let model = LearnedModel::learn(obs.iter().copied(), window);
         let det = PassiveDetector::new(DetectorConfig::default());
 
-        let batch = det
-            .detect_with_sentinel(&model, obs.iter().copied(), window, &cfg)
-            .expect("valid sentinel config");
+        let batch = gated_detect(&det, &model, &obs, window, &cfg);
         let batch_events = batch.events();
         assert_sorted(&batch_events);
 
@@ -165,9 +201,7 @@ fn three_way_equivalence_with_faults() {
         assert_eq!(stream_strays, batch.strays, "streaming strays differ");
 
         for workers in [1usize, 2, 4, 8] {
-            let feed = obs.iter().copied();
-            let par = detect_parallel_with_sentinel(&det, &model, feed, window, workers, &cfg)
-                .expect("valid sentinel config");
+            let par = run(&det, &model, &obs, window, workers, Some(&cfg));
             let par_events = par.events();
             assert_sorted(&par_events);
             assert_eq!(
@@ -178,6 +212,7 @@ fn three_way_equivalence_with_faults() {
                 &par.quarantined, &batch.quarantined,
                 "quarantined set differs at {workers} workers"
             );
+            assert_eq!(par.feed_health, batch.feed_health);
             assert_eq!(par.strays, batch.strays);
             assert_eq!(par.covered_blocks(), batch.covered_blocks());
         }
@@ -208,7 +243,7 @@ fn three_way_equivalence_without_faults() {
         assert_eq!(stream_strays, batch.strays, "streaming strays differ");
 
         for workers in [1usize, 2, 4, 8] {
-            let par = detect_parallel(&det, &model, obs.iter().copied(), window, workers);
+            let par = run(&det, &model, &obs, window, workers, None);
             assert!(par.quarantined.is_empty());
             assert_eq!(par.strays, batch.strays);
             assert_eq!(
@@ -245,17 +280,14 @@ fn semantic_metrics_agree_between_batch_and_parallel() {
             let o = Obs::new();
             let det = PassiveDetector::new(DetectorConfig::default()).with_obs(o.clone());
             let histories = det.learn_histories(obs.iter().copied(), window);
-            det.detect_with_sentinel(&histories, obs.iter().copied(), window, &cfg)
-                .expect("valid sentinel config");
+            gated_detect(&det, &histories, &obs, window, &cfg);
             semantic_samples(&o)
         };
         let run_par = |workers: usize| {
             let o = Obs::new();
             let det = PassiveDetector::new(DetectorConfig::default()).with_obs(o.clone());
             let histories = det.learn_histories(obs.iter().copied(), window);
-            let feed = obs.iter().copied();
-            detect_parallel_with_sentinel(&det, &histories, feed, window, workers, &cfg)
-                .expect("valid sentinel config");
+            run(&det, &histories, &obs, window, workers, Some(&cfg));
             semantic_samples(&o)
         };
 
@@ -298,9 +330,7 @@ fn evidence_is_bit_identical_across_paths() {
         let model = LearnedModel::learn(obs.iter().copied(), window);
         let det = PassiveDetector::new(config.clone());
 
-        let batch = det
-            .detect_with_sentinel(&model, obs.iter().copied(), window, &cfg)
-            .expect("valid sentinel config");
+        let batch = gated_detect(&det, &model, &obs, window, &cfg);
         let batch_doc = evidence_doc(&batch.evidence());
         // Full tier: every completed event carries exactly one record.
         assert_eq!(
@@ -322,9 +352,7 @@ fn evidence_is_bit_identical_across_paths() {
         );
 
         for workers in [1usize, 2, 4, 8] {
-            let feed = obs.iter().copied();
-            let par = detect_parallel_with_sentinel(&det, &model, feed, window, workers, &cfg)
-                .expect("valid sentinel config");
+            let par = run(&det, &model, &obs, window, workers, Some(&cfg));
             assert_eq!(
                 evidence_doc(&par.evidence()),
                 batch_doc.clone(),
@@ -395,7 +423,7 @@ fn strays_agree_across_paths_when_the_model_misses_a_block() {
     assert_eq!(stream_strays, expected);
     assert_eq!(stream_events, batch.events());
     for workers in [1usize, 2, 4] {
-        let par = detect_parallel(&det, &model, obs.iter().copied(), window, workers);
+        let par = run(&det, &model, &obs, window, workers, None);
         assert_eq!(par.strays, expected, "{workers} workers");
     }
 }

@@ -3,8 +3,8 @@
 //! demonstrates, asserted rather than printed).
 
 use outage_core::{
-    DetectorConfig, FederationRouter, FusionPolicy, PassiveDetector, SentinelConfig, VantagePlan,
-    VantageReport, VantageRunner,
+    DetectionEngine, DetectorConfig, FederationRouter, FusionPolicy, PassiveDetector,
+    QuarantineGate, SentinelConfig, VantagePlan, VantageReport, VantageRunner,
 };
 use outage_netsim::{FaultPlan, Scenario};
 use outage_types::{Interval, Observation, OutageEvent};
@@ -160,6 +160,61 @@ fn blackout_at_one_vantage_stays_isolated() {
     assert!(
         false_events.is_empty(),
         "false outages leaked through quarantine: {false_events:?}"
+    );
+}
+
+/// A vantage detects through `PassiveDetector::run` at one worker: its
+/// report, quarantine and final feed health equal the sequential
+/// engine owning the same gate, and the `po_sentinel_health` export
+/// agrees with the health the report carries.
+#[test]
+fn run_with_model_matches_the_sequential_gated_engine() {
+    let scenario = Scenario::quick(12);
+    let window = scenario.window();
+    let plan = VantagePlan::new(3).unwrap();
+    let sentinel = SentinelConfig::default();
+    let shard: Vec<Observation> = scenario.observations_where(|p| plan.sees(0, p)).collect();
+    let blackout = Interval::from_secs(30_000, 37_200);
+    let mut ingest = FaultPlan::new(9).blackout(blackout).apply_to_vec(&shard);
+    ingest.sort_unstable();
+
+    let runner = VantageRunner::new(0, DetectorConfig::default())
+        .unwrap()
+        .with_sentinel(sentinel);
+    let model = runner.learn(&ingest, window, 1);
+    let got = runner.run_with_model(&model, &ingest, window).unwrap();
+
+    let det = PassiveDetector::new(DetectorConfig::default());
+    let gate = QuarantineGate::new(sentinel, window.start).unwrap();
+    let mut engine = DetectionEngine::from_histories(&det, &model, window, Some(gate));
+    for o in &ingest {
+        engine.observe(*o);
+    }
+    let want = engine.finish();
+
+    assert!(
+        !want.report.quarantined.is_empty(),
+        "fixture must quarantine"
+    );
+    assert_eq!(render(&got.report.events()), render(&want.report.events()));
+    assert_eq!(got.report.quarantined, want.report.quarantined);
+    assert_eq!(got.report.strays, want.report.strays);
+    assert_eq!(got.report.covered_blocks(), want.report.covered_blocks());
+    let health = want.sentinel.as_ref().map(|s| s.health());
+    assert!(health.is_some());
+    assert_eq!(want.report.feed_health, health);
+    assert_eq!(got.report.feed_health, health);
+    assert_eq!(got.feed_health, health);
+    let exported = runner.obs().registry.value("po_sentinel_health", &[]);
+    assert_eq!(exported, health.map(|h| h.index() as f64));
+
+    // No sentinel, no health.
+    let bare = VantageRunner::new(0, DetectorConfig::default()).unwrap();
+    assert_eq!(
+        bare.run_with_model(&model, &ingest, window)
+            .unwrap()
+            .feed_health,
+        None
     );
 }
 

@@ -9,7 +9,7 @@
 //!
 //! Three layers:
 //!
-//! * [`format`] — the versioned binary format (`POMS`): magic + version
+//! * [`mod@format`] — the versioned binary format (`POMS`): magic + version
 //!   header, config fingerprint, and `INDX`/`CNTS`/`HIST` sections each
 //!   guarded by a CRC32. Decoding is total: hostile bytes produce a
 //!   typed [`StoreError`], never a panic or a partial model.
